@@ -46,6 +46,7 @@ from .indec import (
 )
 from .jonsson import (
     InfiniteIndexError,
+    NoJonssonBasisFound,
     jonsson_basis_from_summands,
     lift_quotient_decomposition,
     regulating_search,
@@ -444,7 +445,11 @@ def _cmd_jonsson(args):
 
 def _cmd_regulating(args):
     _name, g = _pick(_load_groups(args.file), args.name, args.file)
-    best, index, exhaustive = regulating_search(g, args.height)
+    try:
+        best, index, exhaustive = regulating_search(g, args.height)
+    except NoJonssonBasisFound as e:
+        print(f"{e} (height {args.height})", file=sys.stderr)
+        return 2, [], {"height": args.height, "basis": None}
     lines = [
         f"index: {index}",
         f"exhaustive: {str(exhaustive).lower()} (height {args.height})",
@@ -808,6 +813,10 @@ def main(argv=None) -> int:
         return 1
     except (ParseError, GroupError, InfiniteIndexError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (RuntimeError, AssertionError) as e:
+        # the package's own consistency checks: report, never a traceback
+        print(f"error: internal error: {e}", file=sys.stderr)
         return 1
     if args.json:
         report = {"command": args.command, "result": payload}

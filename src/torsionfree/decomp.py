@@ -37,7 +37,6 @@ from .linalg import (
     mat,
     mat_inverse,
     mat_mul,
-    solve_in_rows,
     vadd,
     vec,
     vscale,
@@ -369,7 +368,7 @@ def apply_span_matrix(g: GroupRep, m: Mat) -> GroupRep:
         raise ValueError("matrix size must equal the group rank")
     gens = []
     for v, s in g.generators:
-        c = solve_in_rows(hull, v)
+        c = g.lattice_hull.coordinates(v)
         image = apply_matrix(apply_matrix(c, m), hull) if hull else v
         gens.append((image, s))
     return group_rep(g.ambient_dim, gens)
@@ -397,13 +396,12 @@ def automorphism_from_summand_isos(
     if answer.verdict is not IsoVerdict.YES or answer.pair_maps is None:
         raise GroupError("only a Yes answer assembles to an automorphism")
     g = d1.group
-    hull = g.lattice_hull.rows
     xs: list[Vec] = []
     ys: list[Vec] = []
     for pairs in answer.pair_maps:
         for x, y in pairs:
-            xs.append(solve_in_rows(hull, x))
-            ys.append(solve_in_rows(hull, y))
+            xs.append(g.lattice_hull.coordinates(x))
+            ys.append(g.lattice_hull.coordinates(y))
     m = mat_mul(mat_inverse(mat(xs)), mat(ys))
     if not automorphism_check(g, m):
         raise GroupError("assembled block map failed the automorphism check")

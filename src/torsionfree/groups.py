@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .linalg import (
@@ -65,7 +66,7 @@ class Compare(enum.Enum):
 
 @dataclass(frozen=True)
 class GroupRep:
-    """Immutable group representation; caches are built on construction."""
+    """Immutable group representation; derived data is cached on the instance."""
 
     ambient_dim: int
     generators: tuple[Generator, ...]
@@ -108,6 +109,14 @@ class GroupRep:
     @property
     def lattice_hull(self) -> RationalLattice:
         return self._hull
+
+    @cached_property
+    def reduced_hull(self) -> RationalLattice:
+        """The lattice hull taken modulo the fully divisible directions."""
+        w = self._w_all
+        return RationalLattice.from_generators(
+            [w.reduce(r) for r in self._hull.rows], self.ambient_dim
+        )
 
     @property
     def active_primes(self) -> tuple[int, ...]:
@@ -383,11 +392,8 @@ def _all_pattern_gap_primes(g: GroupRep, u: Subspace, seed: RationalLattice):
     w = g.divisible_all_directions
     if w.dim == 0:
         return ()
-    l_bar = RationalLattice.from_generators(
-        [w.reduce(r) for r in g.lattice_hull.rows], g.ambient_dim
-    )
     pi_u = Subspace.span([w.reduce(r) for r in u.rows], g.ambient_dim)
-    lam = l_bar.intersect_subspace(pi_u)
+    lam = g.reduced_hull.intersect_subspace(pi_u)
     if lam.rank == 0:
         return ()
     pi_m = RationalLattice.from_generators(
@@ -500,10 +506,7 @@ def element_type(g: GroupRep, a) -> DivisibilityType:
     ]
     # Finite-height primes beyond the active set can only divide the gcd of
     # the coordinates of a taken modulo the fully divisible directions.
-    reduced_hull = RationalLattice.from_generators(
-        [w.reduce(r) for r in g.lattice_hull.rows], g.ambient_dim
-    )
-    coords = reduced_hull.coordinates(w.reduce(a))
+    coords = g.reduced_hull.coordinates(w.reduce(a))
     common = 0
     for c in coords or ():
         common = gcd(common, c.numerator)
@@ -661,13 +664,9 @@ def _direction_witness(g: GroupRep, wg: Subspace, wa: Subspace) -> Vec:
 
 def _finite_quotient_parts(g: GroupRep, a: GroupRep):
     relevant = set(g.active_primes) | set(a.active_primes)
-    w_all = g.divisible_all_directions
-    l_g = RationalLattice.from_generators(
-        [w_all.reduce(r) for r in g.lattice_hull.rows], g.ambient_dim
-    )
-    l_a = RationalLattice.from_generators(
-        [w_all.reduce(r) for r in a.lattice_hull.rows], g.ambient_dim
-    )
+    # index_and_quotient has checked that A and G share W_ALL, so A's reduced
+    # hull is taken modulo the same directions as G's.
+    l_g, l_a = g.reduced_hull, a.reduced_hull
     if l_g.rank != l_a.rank:
         raise RuntimeError("rank mismatch after divisible reduction")
     if l_g.rank:

@@ -32,7 +32,7 @@ from .groups import (
     subgroup_leq,
     sum_groups,
 )
-from .linalg import Mat, Subspace, Vec, apply_matrix, mat, solve_in_rows
+from .linalg import Mat, Subspace, Vec, apply_matrix, mat
 from .indec import typeset_obstruction_certificate
 
 
@@ -49,6 +49,13 @@ class InfiniteIndexError(GroupError):
         super().__init__(f"infinite {prime}-torsion along {direction}")
         self.prime = prime
         self.direction = direction
+
+
+class NoJonssonBasisFound(GroupError):
+    """No candidate summand family within the height bound is a Jonsson basis.
+
+    A scope-limited answer: a larger height bound may still find one.
+    """
 
 
 @dataclass(frozen=True)
@@ -246,7 +253,7 @@ def regulating_search(g: GroupRep, height_bound: int = 2):
             if best.index == 1:
                 break
     if best is None:
-        raise GroupError("no Jonsson basis found within the height bound")
+        raise NoJonssonBasisFound("no Jonsson basis found within the height bound")
     return best, best.index, True
 
 
@@ -272,11 +279,10 @@ class QuotientMap:
 
 
 def _transport_vec(g: GroupRep, alpha: Mat, v: Vec) -> Vec:
-    hull = g.lattice_hull.rows
-    coords = solve_in_rows(hull, v)
+    coords = g.lattice_hull.coordinates(v)
     if coords is None:
         raise GroupError("vector outside the group's span")
-    return apply_matrix(apply_matrix(coords, alpha), hull)
+    return apply_matrix(apply_matrix(coords, alpha), g.lattice_hull.rows)
 
 
 def _transport_group(g: GroupRep, alpha: Mat, group: GroupRep) -> GroupRep:

@@ -9,6 +9,7 @@ Everything is exact -- no floats, no tolerances anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -71,12 +72,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(apply_matrix(row, b) for row in a)
 
 
-def transpose(a: Mat) -> Mat:
-    if not a:
-        return ()
-    return tuple(tuple(row[j] for row in a) for j in range(len(a[0])))
-
-
 def mat_inverse(a: Mat) -> Mat:
     """Inverse of a square rational matrix (raises on singular input)."""
     n = len(a)
@@ -123,6 +118,44 @@ def det(a: Mat) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _eliminate(work: list[list[Fraction]], ncols: int) -> tuple[int, ...]:
+    """Gauss-Jordan elimination in place on the first ncols columns of work.
+
+    Rows are reduced to echelon form: nonzero rows first, leading coefficient
+    1 in each pivot column, pivot columns cleared in every other row.  Any
+    trailing columns ride along, so eliminating [rows | I] records the
+    transform.  Returns the pivot columns; their number is the rank.
+    """
+    pivots: list[int] = []
+    rank = 0
+    n = len(work)
+    for col in range(ncols):
+        if rank == n:
+            break
+        piv = next((r for r in range(rank, n) if work[r][col] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = Fraction(1) / work[rank][col]
+        pivot_row = work[rank] = [e * inv for e in work[rank]]
+        for r in range(n):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [e - f * g for e, g in zip(work[r], pivot_row)]
+        pivots.append(col)
+        rank += 1
+    return tuple(pivots)
+
+
+def _echelon(rows) -> tuple[Mat, tuple[int, ...]]:
+    """Nonzero reduced echelon rows of rows, and their pivot columns."""
+    if not rows:
+        return (), ()
+    work = [list(r) for r in rows]
+    pivots = _eliminate(work, len(rows[0]))
+    return tuple(tuple(row) for row in work[: len(pivots)]), pivots
+
+
 def rref(rows: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:
     """Reduced row echelon form with transform.
 
@@ -134,31 +167,14 @@ def rref(rows: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:
     if not rows:
         return (), (), ()
     ncols = len(rows[0])
-    work = [list(r) for r in rows]
-    tr = [list(unit_vec(len(rows), i)) for i in range(len(rows))]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        tr[rank], tr[piv] = tr[piv], tr[rank]
-        inv = Fraction(1) / work[rank][col]
-        work[rank] = [e * inv for e in work[rank]]
-        tr[rank] = [e * inv for e in tr[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [e - f * g for e, g in zip(work[r], work[rank])]
-                tr[r] = [e - f * g for e, g in zip(tr[r], tr[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    r_rows = tuple(tuple(row) for row in work[:rank])
-    t_rows = tuple(tuple(row) for row in tr[:rank])
-    return r_rows, t_rows, tuple(pivots)
+    work = [list(rows[i]) + list(unit_vec(len(rows), i)) for i in range(len(rows))]
+    pivots = _eliminate(work, ncols)
+    top = work[: len(pivots)]
+    return (
+        tuple(tuple(row[:ncols]) for row in top),
+        tuple(tuple(row[ncols:]) for row in top),
+        pivots,
+    )
 
 
 def echelon_coordinates(rows: Mat, pivots: tuple[int, ...], x: Vec) -> Vec | None:
@@ -199,22 +215,9 @@ def rational_kernel(rows: Mat) -> Mat:
     """Basis of the left kernel {x : x * rows == 0} over Q."""
     if not rows:
         return ()
-    n = len(rows)
-    work = [list(rows[i]) + list(unit_vec(n, i)) for i in range(n)]
     ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r2 for r2 in range(rank, n) if work[r2][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = Fraction(1) / work[rank][col]
-        work[rank] = [e * inv for e in work[rank]]
-        for r2 in range(n):
-            if r2 != rank and work[r2][col]:
-                f = work[r2][col]
-                work[r2] = [e - f * g for e, g in zip(work[r2], work[rank])]
-        rank += 1
+    work = [list(rows[i]) + list(unit_vec(len(rows), i)) for i in range(len(rows))]
+    rank = len(_eliminate(work, ncols))
     return tuple(tuple(row[ncols:]) for row in work[rank:])
 
 
@@ -392,7 +395,7 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("vector length %d does not match ambient %d" % (len(r), ambient_dim))
-        r, _t, p = rref(rows)
+        r, p = _echelon(rows)
         return Subspace(ambient_dim, r, p)
 
     @staticmethod
@@ -441,7 +444,7 @@ def span_and_intersect(rows_a, rows_b, ambient_dim: int) -> tuple[Subspace, Subs
     a = mat(rows_a)
     b = mat(rows_b)
     block = [tuple(r) + tuple(r) for r in a] + [tuple(r) + zero_vec(ambient_dim) for r in b]
-    r, _t, _p = rref(tuple(block))
+    r, _p = _echelon(block)
     sum_rows = []
     inter_rows = []
     for row in r:
@@ -468,6 +471,11 @@ class RationalLattice:
     Canonical form: with s the lcm of all basis-entry denominators, s * rows
     is the Hermite basis of the integer lattice s * L.  Equal lattices compare
     equal structurally.
+
+    Echelon invariant: the rows are in Hermite normal form, so their pivots
+    (first nonzero columns) strictly increase.  Coordinates are therefore
+    found by forward substitution along the pivots, without elimination, and
+    they are unique because nonzero echelon rows are independent.
     """
 
     ambient_dim: int
@@ -494,11 +502,16 @@ class RationalLattice:
     def rank(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot column of each basis row, strictly increasing."""
+        return tuple(next(j for j, e in enumerate(r) if e) for r in self.rows)
+
     def coordinates(self, x: Vec) -> Vec | None:
         """Rational coordinates of x in the basis rows, or None if off-span."""
-        if not self.rows:
-            return () if is_zero_vec(x) else None
-        return solve_in_rows(self.rows, x)
+        if len(x) != self.ambient_dim:
+            raise ValueError("dimension mismatch")
+        return echelon_coordinates(self.rows, self.pivots, x)
 
     def contains(self, x: Vec) -> bool:
         c = self.coordinates(x)

@@ -72,6 +72,22 @@ class TestExitCodes:
     def test_group_error_is_one(self, capsys):
         assert main(["split", str(DATA / "g3.grp"), "--basis", "(1,0);(2,0)", "--partition", "1|2"]) == 1
 
+    def test_regulating_without_basis_is_two(self, capsys):
+        # height 0 yields no candidate lines, so the search finds nothing
+        assert main(["regulating", str(DATA / "g3.grp"), "--height", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "no Jonsson basis found within the height bound (height 0)\n"
+
+    @pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+    def test_internal_error_is_one_without_traceback(self, capsys, monkeypatch, exc):
+        def broken(g, x):
+            raise exc("hull lost rank")
+
+        monkeypatch.setattr("torsionfree.cli.member", broken)
+        assert main(["member", str(DATA / "g3.grp"), "(1,0)"]) == 1
+        assert capsys.readouterr().err == "error: internal error: hull lost rank\n"
+
     def test_si_search_without_evidence_is_two(self, capsys):
         # free groups of rank one: no proper partition, no rank-2 certificate
         path = DATA / "g1.grp"

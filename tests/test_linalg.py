@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import integer_matrices, vectors
+from strategies import integer_matrices, small_fractions, vectors
 from torsionfree.linalg import (
     RationalLattice,
     Subspace,
@@ -32,6 +32,17 @@ def imat_mul(a, b):
 
 def idet(a):
     return det(mat(a))
+
+
+def rational_matrices(max_rows: int = 4, max_cols: int = 4):
+    """Rational matrices of every shape up to the bounds, often rank-deficient."""
+    return st.integers(1, max_cols).flatmap(
+        lambda cols: st.lists(
+            st.lists(small_fractions(2, 3), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=max_rows,
+        )
+    )
 
 
 class TestRref:
@@ -94,6 +105,21 @@ class TestKernel:
         rows = mat(entries)
         _, _, pivots = rref(rows)
         assert len(rational_kernel(rows)) + len(pivots) == 3
+
+    @given(rational_matrices())
+    @settings(max_examples=60)
+    def test_kernel_of_rational_rows(self, entries):
+        rows = mat(entries)
+        kernel = rational_kernel(rows)
+        for k in kernel:
+            assert all(
+                sum(ki * row[j] for ki, row in zip(k, rows)) == 0
+                for j in range(len(rows[0]))
+            )
+        _, _, pivots = rref(rows)
+        assert len(kernel) == len(rows) - len(pivots)
+        if kernel:  # the kernel rows are independent
+            assert len(rref(kernel)[2]) == len(kernel)
 
 
 class TestHermite:
@@ -165,6 +191,14 @@ class TestIntegerKernel:
 
 
 class TestSubspace:
+    @given(rational_matrices())
+    @settings(max_examples=60)
+    def test_span_matches_rref(self, entries):
+        rows = mat(entries)
+        r, _t, pivots = rref(rows)
+        space = Subspace.span(rows, len(rows[0]))
+        assert space.rows == r and space.pivots == pivots
+
     def test_dimension_formula(self):
         a = Subspace.span([vec([1, 0, 0]), vec([0, 1, 0])], 3)
         b = Subspace.span([vec([0, 1, 0]), vec([0, 0, 1])], 3)
@@ -218,6 +252,28 @@ class TestRationalLattice:
         assert inner.rank == 1
         # the intersection with the line through (2,3) is generated primitively
         assert inner.rows[0] in (vec([2, 3]), vec([-2, -3]))
+
+    @given(
+        st.lists(vectors(3), min_size=1, max_size=4),
+        st.lists(small_fractions(), min_size=4, max_size=4),
+        vectors(3),
+    )
+    @settings(max_examples=100)
+    def test_coordinates_match_solve_in_rows(self, gens, coeffs, outside):
+        lat = RationalLattice.from_generators([vec(v) for v in gens], 3)
+        inside = vec(
+            [sum(c * v[j] for c, v in zip(coeffs, gens)) for j in range(3)]
+        )
+        for x in (inside, vec(outside)):
+            assert lat.coordinates(x) == solve_in_rows(lat.rows, x)
+        assert lat.coordinates(inside) is not None
+
+    def test_coordinates_reject_wrong_length(self):
+        lat = RationalLattice.from_generators([vec([1, 2])], 2)
+        with pytest.raises(ValueError):
+            lat.coordinates(vec([1, 2, 0]))
+        with pytest.raises(ValueError):
+            RationalLattice.from_generators([], 2).coordinates(vec([0]))
 
     @given(st.lists(vectors(2, max_num=2, max_den=4), min_size=1, max_size=3))
     @settings(max_examples=60)
