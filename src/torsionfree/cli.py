@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .bases import b_representation, basis_record, is_basis, minimal_multiplier
@@ -164,12 +163,8 @@ def _pick(groups: dict[str, GroupRep], name: str | None, path: str):
 # -- output formatting ----------------------------------------------------------
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _vec_str(v) -> str:
-    return "(%s)" % ", ".join(_frac_str(e) for e in v)
+    return "(%s)" % ", ".join(str(e) for e in v)
 
 
 def _group_lines(g: GroupRep, indent: str = "  "):
@@ -190,7 +185,7 @@ def _ints_str(t) -> str:
 
 
 def _j_vec(v):
-    return [_frac_str(e) for e in v]
+    return [str(e) for e in v]
 
 
 def _j_group(g: GroupRep):
@@ -373,12 +368,12 @@ def _cmd_aut_check(args):
             return 0, ["quasi-automorphism: absent"], {"quasi_automorphism": None}
         r, alpha = got
         lines = [
-            f"quasi-automorphism: r = {_frac_str(r)}",
+            f"quasi-automorphism: r = {r}",
             "alpha: " + "; ".join(_vec_str(row) for row in alpha),
         ]
         payload = {
             "quasi_automorphism": {
-                "r": _frac_str(r),
+                "r": str(r),
                 "alpha": [_j_vec(row) for row in alpha],
             }
         }
@@ -393,7 +388,7 @@ def _cmd_quasi_eq(args):
     w = quasi_equal_strict(h, g)
     if w is None:
         return 0, ["strict: absent"], {"strict": None}
-    return 0, [f"strict: r = {_frac_str(w.ratio)}"], {"strict": _frac_str(w.ratio)}
+    return 0, [f"strict: r = {w.ratio}"], {"strict": str(w.ratio)}
 
 
 def _cmd_commensurable(args):
@@ -446,17 +441,17 @@ def _cmd_jonsson(args):
 def _cmd_regulating(args):
     _name, g = _pick(_load_groups(args.file), args.name, args.file)
     try:
-        best, index, exhaustive = regulating_search(g, args.height)
+        best, index = regulating_search(g, args.height)
     except NoJonssonBasisFound as e:
         print(f"{e} (height {args.height})", file=sys.stderr)
         return 2, [], {"height": args.height, "basis": None}
     lines = [
         f"index: {index}",
-        f"exhaustive: {str(exhaustive).lower()} (height {args.height})",
+        f"exhaustive: true (height {args.height})",
     ] + _jonsson_lines(best)
     payload = {
         "index": index,
-        "exhaustive": exhaustive,
+        "exhaustive": True,
         "height": args.height,
         "basis": _j_jonsson(best),
     }
@@ -624,14 +619,9 @@ def _cmd_verify(args):
         for i in range(args.count):
             sample = generate(profile, args.seed + i)
             groups.append((f"{profile}-{args.seed + i}", sample.group))
-    tasks = [
-        (name, g, f"verify:{args.seed}:{i}") for i, (name, g) in enumerate(groups)
+    results = [
+        _verify_one(name, g, f"verify:{args.seed}:{i}") for i, (name, g) in enumerate(groups)
     ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda t: _verify_one(*t), tasks))
-    else:
-        results = [_verify_one(*t) for t in tasks]
     lines = []
     payload = {"groups": [], "all_ok": True}
     total = 0
@@ -796,7 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--profile", choices=PROFILES)
     sp.add_argument("--count", type=int, default=5)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_verify)
 

@@ -14,7 +14,6 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .bases import BasisRecord, is_basis
 from .groups import (
@@ -127,11 +126,6 @@ def decomposition_record(
     return DecompositionRecord(group, summands, flags)
 
 
-@lru_cache(maxsize=None)
-def _pure_hull(g: GroupRep, space: Subspace) -> GroupRep:
-    return purify(g, space)
-
-
 def check_splitting_partition(g: GroupRep, partition: PartitionRecord):
     """Whether the purified block spans reconstitute g; the decomposition if so.
 
@@ -143,7 +137,7 @@ def check_splitting_partition(g: GroupRep, partition: PartitionRecord):
     if not is_basis(g, elems):
         raise ValueError("the partition's basis is not a basis of the group")
     summands = tuple(
-        _pure_hull(g, Subspace.span([elems[i] for i in block], g.ambient_dim))
+        purify(g, Subspace.span([elems[i] for i in block], g.ambient_dim))
         for block in partition.blocks
     )
     total = sum_groups(*summands) if summands else zero_group(g.ambient_dim)
@@ -152,13 +146,22 @@ def check_splitting_partition(g: GroupRep, partition: PartitionRecord):
     return False, None
 
 
-def _restricted_growth_strings(t: int):
+def set_partitions(t: int):
+    """Every partition of range(t) into blocks, as tuples of index blocks.
+
+    Partitions come in lexicographic order of their restricted growth
+    strings (labels a with a[0] = 0 and a[i] <= 1 + max(a[:i])); block b
+    holds the indices labelled b, so blocks are ordered by least element.
+    """
     if t == 0:
         yield ()
         return
     a = [0] * t
     while True:
-        yield tuple(a)
+        blocks: list[list[int]] = [[] for _ in range(max(a) + 1)]
+        for i, label in enumerate(a):
+            blocks[label].append(i)
+        yield tuple(tuple(b) for b in blocks)
         i = t - 1
         while i > 0 and a[i] > max(a[:i]):
             i -= 1
@@ -169,13 +172,6 @@ def _restricted_growth_strings(t: int):
             a[j] = 0
 
 
-def _blocks_of(rgs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    blocks: dict[int, list[int]] = {}
-    for i, label in enumerate(rgs):
-        blocks.setdefault(label, []).append(i)
-    return tuple(tuple(blocks[label]) for label in sorted(blocks))
-
-
 def enumerate_splitting_partitions(
     g: GroupRep, basis: BasisRecord, max_blocks: int
 ):
@@ -184,11 +180,10 @@ def enumerate_splitting_partitions(
     if t > _RANK_LIMIT:
         raise GroupError("rank %d exceeds the partition-enumeration limit" % t)
     out = []
-    for rgs in _restricted_growth_strings(t):
-        nblocks = max(rgs) + 1 if rgs else 0
-        if nblocks < 2 or nblocks > max_blocks:
+    for blocks in set_partitions(t):
+        if not 2 <= len(blocks) <= max_blocks:
             continue
-        partition = PartitionRecord(basis, _blocks_of(rgs))
+        partition = PartitionRecord(basis, blocks)
         ok, record = check_splitting_partition(g, partition)
         if ok:
             out.append((partition, record))
@@ -360,18 +355,24 @@ def _summand_iso(s: GroupRep, t: GroupRep):
     return None
 
 
-def apply_span_matrix(g: GroupRep, m: Mat) -> GroupRep:
-    """Transport g by the rank x rank matrix acting on lattice-hull coordinates."""
-    hull = g.lattice_hull.rows
+def span_matrix_image(g: GroupRep, m: Mat, v: Vec) -> Vec:
+    """Image of v under the rank x rank matrix m acting on g's lattice-hull coordinates."""
+    hull = g.lattice_hull
+    coords = hull.coordinates(v)
+    if coords is None:
+        raise GroupError("vector outside the group's span")
+    return apply_matrix(apply_matrix(coords, m), hull.rows) if hull.rows else v
+
+
+def apply_span_matrix(g: GroupRep, m: Mat, group: GroupRep | None = None) -> GroupRep:
+    """Transport group (default g) by m acting on g's lattice-hull coordinates."""
+    rank = g.lattice_hull.rank
     m = mat(m)
-    if len(m) != len(hull) or any(len(row) != len(hull) for row in m):
+    if len(m) != rank or any(len(row) != rank for row in m):
         raise ValueError("matrix size must equal the group rank")
-    gens = []
-    for v, s in g.generators:
-        c = g.lattice_hull.coordinates(v)
-        image = apply_matrix(apply_matrix(c, m), hull) if hull else v
-        gens.append((image, s))
-    return group_rep(g.ambient_dim, gens)
+    if group is None:
+        group = g
+    return group_rep(g.ambient_dim, [(span_matrix_image(g, m, v), s) for v, s in group.generators])
 
 
 def automorphism_check(g: GroupRep, m: Mat) -> bool:

@@ -125,10 +125,6 @@ def parse_group_file(text: str) -> dict[str, GroupRep]:
     return out
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def format_prime_set(s: PrimeSet) -> str:
     if s.is_all:
         return "ALL"
@@ -139,7 +135,7 @@ def format_group(name: str, g: GroupRep) -> str:
     """Canonical text for one group, ending with a newline."""
     lines = [f"group {name} ambient {g.ambient_dim}"]
     for v, s in g.generators:
-        entries = ", ".join(_format_rational(e) for e in v)
+        entries = ", ".join(str(e) for e in v)
         lines.append(f"gen [{entries}] inv {format_prime_set(s)}")
     return "\n".join(lines) + "\n"
 

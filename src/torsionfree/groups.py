@@ -28,6 +28,7 @@ from .linalg import (
     Vec,
     apply_matrix,
     det,
+    echelon_coordinates,
     hermite_normal_form,
     is_zero_vec,
     mat,
@@ -95,6 +96,7 @@ class GroupRep:
         object.__setattr__(self, "_active_primes", tuple(sorted(tagged | hull_primes)))
         object.__setattr__(self, "_w_cache", {})
         object.__setattr__(self, "_plocal_cache", {})
+        object.__setattr__(self, "_purify_cache", {})
 
     # -- structural data -----------------------------------------------------
 
@@ -416,10 +418,19 @@ def purify(g: GroupRep, subspace: Subspace) -> GroupRep:
     Seeds with the hull sublattice of U' = U ∩ span(G) plus the divisible
     directions inside U', then saturates at a finite set of primes; each
     adjunction strictly decreases a finite index, so the loop terminates
-    with the full pure subgroup.
+    with the full pure subgroup.  Results are memoised on g, so a repeated
+    subspace returns the same object for as long as g lives.
     """
     if subspace.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimension mismatch")
+    hull = g._purify_cache.get(subspace)
+    if hull is None:
+        hull = _purify(g, subspace)
+        g._purify_cache[subspace] = hull
+    return hull
+
+
+def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
     u = subspace.intersect(g.span)
     if u.dim == 0:
         return zero_group(g.ambient_dim)
@@ -694,6 +705,7 @@ def _quotient_part_at(g: GroupRep, a: GroupRep, p: int):
     basis_g, transform = _basis_with_transform(reduced_g, g.ambient_dim)
     if not basis_g:
         return None
+    pivots = tuple(next(j for j, e in enumerate(r) if e) for r in basis_g)
     sections = []
     for trow in transform:
         s = zero_vec(g.ambient_dim)
@@ -703,7 +715,7 @@ def _quotient_part_at(g: GroupRep, a: GroupRep, p: int):
         sections.append(s)
     coord_rows = []
     for r in a.lattice_hull.rows:
-        c = solve_in_rows(tuple(basis_g), w.reduce(r))
+        c = echelon_coordinates(basis_g, pivots, w.reduce(r))
         if c is None:
             raise RuntimeError("subgroup hull escapes the group hull span")
         coord_rows.append(c)

@@ -14,6 +14,7 @@ nothing beyond its own scope.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 from .bases import BasisRecord, is_basis, pure_hull_sum
@@ -24,7 +25,7 @@ from .decomp import (
     _generated_bases,
     candidate_vectors,
     check_splitting_partition,
-    partition_record,
+    set_partitions,
 )
 from .groups import GroupError, GroupRep, QuotientDescription, element_type, index_and_quotient
 from .linalg import Vec
@@ -49,15 +50,11 @@ class SIReport:
     witness: PartitionRecord | QuotientDescription | None
 
 
-def _two_block_partitions(basis: BasisRecord):
-    k = len(basis.elements)
-    rest = tuple(range(1, k))
-    for mask in range(1, 2 ** (k - 1)):
-        first = [0]
-        second = []
-        for bit, idx in enumerate(rest):
-            (first if mask >> bit & 1 == 0 else second).append(idx)
-        yield partition_record(basis, (tuple(first), tuple(second)))
+def _two_block_blockings(t: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Partitions of range(t) into two blocks, ordered by the bitmask of the second."""
+    blockings = [b for b in set_partitions(t) if len(b) == 2]
+    blockings.sort(key=lambda blocks: sum(1 << i for i in blocks[1]))
+    return blockings
 
 
 def property_si_check(g: GroupRep, basis: BasisRecord) -> SIReport:
@@ -74,7 +71,8 @@ def property_si_check(g: GroupRep, basis: BasisRecord) -> SIReport:
     quotient = index_and_quotient(g, hull.group)
     attempts = []
     witness: PartitionRecord | QuotientDescription | None = None
-    for partition in _two_block_partitions(basis):
+    for blocks in _two_block_blockings(len(basis.elements)):
+        partition = PartitionRecord(basis, blocks)
         ok, _record = check_splitting_partition(g, partition)
         attempts.append((partition, ok))
         if ok and witness is None:
@@ -108,15 +106,15 @@ def strong_decomposability_witness_search(g: GroupRep, height_bound: int) -> Wit
         raise GroupError("rank exceeds the partition search limit")
     searched = 0
     seen_blockings = set()
+    two_block = _two_block_blockings(g.rank)
     for basis in _generated_bases(g, height_bound):
         searched += 1
-        for partition in _two_block_partitions(basis):
-            blocks_key = frozenset(
-                frozenset(basis.elements[i] for i in block) for block in partition.blocks
-            )
+        for blocks in two_block:
+            blocks_key = frozenset(frozenset(basis.elements[i] for i in block) for block in blocks)
             if blocks_key in seen_blockings:
                 continue
             seen_blockings.add(blocks_key)
+            partition = PartitionRecord(basis, blocks)
             report = quasi_split_check(g, basis, partition)
             if report.kind is not SplitKind.NONE:
                 return WitnessSearchResult(
@@ -132,22 +130,6 @@ class SICertificate:
     group: GroupRep
     vectors: tuple[Vec, Vec, Vec]
     types: tuple[DivisibilityType, DivisibilityType, DivisibilityType]
-
-
-def _ps_leq(a: PrimeSet, b: PrimeSet) -> bool:
-    if b.is_all:
-        return True
-    if a.is_all:
-        return False
-    return set(a.primes) <= set(b.primes)
-
-
-def _ps_meet(a: PrimeSet, b: PrimeSet) -> PrimeSet:
-    if a.is_all:
-        return b
-    if b.is_all:
-        return a
-    return PrimeSet(tuple(sorted(set(a.primes) & set(b.primes))))
 
 
 def typeset_obstruction_certificate(g: GroupRep) -> SICertificate | None:
@@ -166,23 +148,10 @@ def typeset_obstruction_certificate(g: GroupRep) -> SICertificate | None:
         t = element_type(g, v)
         if t.inverted not in found:
             found[t.inverted] = (v, t)
-    sets = list(found)
-    n = len(sets)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                trio = (sets[i], sets[j], sets[k])
-                if any(
-                    _ps_leq(a, b) or _ps_leq(b, a)
-                    for a, b in ((trio[0], trio[1]), (trio[0], trio[2]), (trio[1], trio[2]))
-                ):
-                    continue
-                meets_clear = all(
-                    not trio[x] == _ps_meet(trio[y], trio[z])
-                    for x, y, z in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-                )
-                if meets_clear:
-                    vecs = tuple(found[s][0] for s in trio)
-                    types = tuple(found[s][1] for s in trio)
-                    return SICertificate(g, vecs, types)
+    for trio in itertools.combinations(found, 3):
+        if any(a.is_subset(b) or b.is_subset(a) for a, b in itertools.combinations(trio, 2)):
+            continue
+        vecs = tuple(found[s][0] for s in trio)
+        types = tuple(found[s][1] for s in trio)
+        return SICertificate(g, vecs, types)
     return None

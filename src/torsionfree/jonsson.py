@@ -8,8 +8,8 @@ G, block by block, and the ones that do are found by regrouping summands.
 
 Candidate summands are always replaced by the purification of their span,
 so every basis built here satisfies the purity requirement by construction.
-Searches over candidate families carry explicit bounds and say whether they
-were exhaustive for that scope.
+Searches over candidate families carry explicit bounds and are exhaustive
+within them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .bases import BasisRecord
-from .decomp import _pure_hull, apply_span_matrix, automorphism_check, candidate_vectors
+from .decomp import apply_span_matrix, automorphism_check, candidate_vectors, set_partitions, span_matrix_image
 from .groups import (
     FiniteQuotient,
     GroupError,
@@ -27,12 +27,12 @@ from .groups import (
     compare,
     Compare,
     element_type,
-    group_rep,
     index_and_quotient,
+    purify,
     subgroup_leq,
     sum_groups,
 )
-from .linalg import Mat, Subspace, Vec, apply_matrix, mat
+from .linalg import Mat, Subspace, Vec, mat
 from .indec import typeset_obstruction_certificate
 
 
@@ -103,7 +103,7 @@ def jonsson_basis_from_summands(g: GroupRep, candidates) -> JonssonBasis:
         raise GroupError("candidate spans overlap")
     if span.dim != g.rank:
         raise GroupError("candidate spans do not cover the group")
-    summands = tuple(_pure_hull(g, c.span) for c in candidates)
+    summands = tuple(purify(g, c.span) for c in candidates)
     total = sum_groups(*summands)
     description = index_and_quotient(g, total)
     if not description.is_finite:
@@ -116,36 +116,19 @@ def _block_hull(a: JonssonBasis, block) -> GroupRep:
     rows: list[Vec] = []
     for i in block:
         rows.extend(a.summand_groups[i].span.rows)
-    return _pure_hull(a.group, Subspace.span(rows, a.group.ambient_dim))
+    return purify(a.group, Subspace.span(rows, a.group.ambient_dim))
 
 
-def _proper_groupings(t: int, max_blocks: int):
-    # restricted-growth enumeration, smallest block count first
-    for nblocks in range(2, min(t, max_blocks) + 1):
-        for assignment in itertools.product(range(nblocks), repeat=t - 1):
-            labels = (0, *assignment)
-            if max(labels) != nblocks - 1:
-                continue
-            seen = set()
-            canonical = True
-            for lab in labels:
-                if lab not in seen:
-                    if lab != len(seen):
-                        canonical = False
-                        break
-                    seen.add(lab)
-            if not canonical:
-                continue
-            yield tuple(
-                tuple(i for i, lab in enumerate(labels) if lab == b) for b in range(nblocks)
-            )
+def _groupings(t: int, max_blocks: int):
+    """Proper groupings of t summands into at most max_blocks blocks, fewest blocks first."""
+    return sorted((b for b in set_partitions(t) if 2 <= len(b) <= max_blocks), key=len)
 
 
 def splitting_decompositions_of(a: JonssonBasis, max_blocks: int):
     """Proper summand groupings whose purified block sums rebuild G exactly."""
     g = a.group
     out = []
-    for blocks in _proper_groupings(len(a.summands), max_blocks):
+    for blocks in _groupings(len(a.summands), max_blocks):
         hulls = tuple(_block_hull(a, block) for block in blocks)
         if subgroup_leq(g, sum_groups(*hulls)):
             out.append((blocks, hulls))
@@ -206,7 +189,7 @@ def lift_quotient_decomposition(g: GroupRep, a: JonssonBasis, u_generators, w_ge
         raise ValueError("the given images are not a direct decomposition of the quotient")
 
     searched = 0
-    for blocks in _proper_groupings(len(a.summands), 2):
+    for blocks in _groupings(len(a.summands), 2):
         searched += 1
         b_hull = _block_hull(a, blocks[0])
         c_hull = _block_hull(a, blocks[1])
@@ -226,7 +209,7 @@ def regulating_search(g: GroupRep, height_bound: int = 2):
     The candidate summands are the pure hulls of every line spanned by an
     integer combination of generators with coefficients up to height_bound;
     the family is exhaustive for that scope by construction.  Returns
-    (best basis, index, exhaustive flag).
+    (best basis, index).
     """
     if g.rank == 0:
         raise GroupError("the zero group has no rank-1 summand family")
@@ -237,7 +220,7 @@ def regulating_search(g: GroupRep, height_bound: int = 2):
         if space in seen_spans:
             continue
         seen_spans.add(space)
-        lines.append(_pure_hull(g, space))
+        lines.append(purify(g, space))
     best: JonssonBasis | None = None
     for combo in itertools.combinations(range(len(lines)), g.rank):
         rows = [row for i in combo for row in lines[i].span.rows]
@@ -254,7 +237,7 @@ def regulating_search(g: GroupRep, height_bound: int = 2):
                 break
     if best is None:
         raise NoJonssonBasisFound("no Jonsson basis found within the height bound")
-    return best, best.index, True
+    return best, best.index
 
 
 @dataclass(frozen=True)
@@ -278,18 +261,6 @@ class QuotientMap:
         return self.identity
 
 
-def _transport_vec(g: GroupRep, alpha: Mat, v: Vec) -> Vec:
-    coords = g.lattice_hull.coordinates(v)
-    if coords is None:
-        raise GroupError("vector outside the group's span")
-    return apply_matrix(apply_matrix(coords, alpha), g.lattice_hull.rows)
-
-
-def _transport_group(g: GroupRep, alpha: Mat, group: GroupRep) -> GroupRep:
-    gens = [(_transport_vec(g, alpha, v), s) for v, s in group.generators]
-    return group_rep(g.ambient_dim, gens)
-
-
 def induced_quotient_map(g: GroupRep, a: JonssonBasis, alpha: Mat):
     """Transport a by a verified automorphism; the induced map on quotients.
 
@@ -300,12 +271,12 @@ def induced_quotient_map(g: GroupRep, a: JonssonBasis, alpha: Mat):
     if not automorphism_check(g, alpha):
         raise GroupError("not an automorphism of the group")
     transported = jonsson_basis_from_summands(
-        g, [_transport_group(g, alpha, s) for s in a.summand_groups]
+        g, [apply_span_matrix(g, alpha, s) for s in a.summand_groups]
     )
     source = a.quotient
     target = transported.quotient
     sections = source.section_vectors()
-    moved = tuple(_transport_vec(g, alpha, s) for s in sections)
+    moved = tuple(span_matrix_image(g, alpha, s) for s in sections)
     source_images = tuple(source.image(s) for s in sections)
     target_images = tuple(target.image(v) for v in moved)
     identity = compare(source.subgroup, target.subgroup) is Compare.EQUAL and all(

@@ -23,19 +23,20 @@ from fractions import Fraction
 from math import lcm
 
 from .bases import BasisRecord, is_basis
-from .decomp import DecompositionRecord, PartitionRecord, _pure_hull, apply_span_matrix, automorphism_check, decomposition_record
+from .decomp import DecompositionRecord, PartitionRecord, apply_span_matrix, automorphism_check, decomposition_record
 from .groups import (
     Compare,
     GroupRep,
     QuotientDescription,
     compare,
     index_and_quotient,
+    purify,
     scale_group,
     subgroup_leq,
     sum_groups,
     zero_group,
 )
-from .linalg import Mat, Subspace, mat, mat_inverse, solve_in_rows
+from .linalg import Mat, RationalLattice, Subspace, mat, mat_inverse
 from .numutil import divisors, next_prime, valuation
 from .linalg import smith_normal_form
 
@@ -53,19 +54,19 @@ class QuasiWitness:
     pair: tuple[int, int] | None = None
 
 
-def _coordinate_factors(hrows, grows):
-    """Invariant factors of the coordinate matrix of grows over hrows.
+def _coordinate_factors(hlat: RationalLattice, glat: RationalLattice):
+    """Invariant factors of the coordinate matrix of glat's basis over hlat's.
 
     Returns (sigma, factors) where sigma clears denominators, or None when
-    the two row families do not span the same space.
+    the two lattices do not span the same space.
     """
-    if len(hrows) != len(grows):
+    if hlat.rank != glat.rank:
         return None
-    if not hrows:
+    if not hlat.rank:
         return 1, ()
     coords = []
-    for row in grows:
-        c = solve_in_rows(hrows, row)
+    for row in glat.rows:
+        c = hlat.coordinates(row)
         if c is None:
             return None
         coords.append(c)
@@ -75,7 +76,7 @@ def _coordinate_factors(hrows, grows):
             sigma = lcm(sigma, e.denominator)
     entries = [[int(e * sigma) for e in c] for c in coords]
     d, _, _ = smith_normal_form(entries)
-    if len(d) != len(hrows):
+    if len(d) != hlat.rank:
         return None
     return sigma, d
 
@@ -112,7 +113,7 @@ def quasi_equal_strict(h: GroupRep, g: GroupRep) -> QuasiWitness | None:
     for p in (*tagged, fresh):
         _, hlat = h._plocal_data(p)
         _, glat = g._plocal_data(p)
-        got = _coordinate_factors(hlat.rows, glat.rows)
+        got = _coordinate_factors(hlat, glat)
         if got is None:
             return None
         sigma, factors = got
@@ -214,7 +215,7 @@ def quasi_split_check(g: GroupRep, basis: BasisRecord, partition: PartitionRecor
     if not is_basis(g, basis.elements):
         raise ValueError("not a basis of the group")
     summands = tuple(
-        _pure_hull(g, Subspace.span([basis.elements[i] for i in block], g.ambient_dim))
+        purify(g, Subspace.span([basis.elements[i] for i in block], g.ambient_dim))
         for block in partition.blocks
     )
     total = sum_groups(*summands) if summands else zero_group(g.ambient_dim)

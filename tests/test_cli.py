@@ -1,8 +1,8 @@
 """CLI behaviour: exit-code channels, output shapes, golden-file determinism.
 
 The golden table below is the list of documented command examples; every
-entry is kept byte-identical across repeated runs, different hash seeds
-and different --jobs settings.
+entry is kept byte-identical across repeated runs and different hash
+seeds.
 """
 
 import os
@@ -43,10 +43,8 @@ GOLDEN_COMMANDS = [
 ]
 
 
-def run_cli(argv, hashseed="0", jobs=None):
+def run_cli(argv, hashseed="0"):
     cmd = [sys.executable, "-m", "torsionfree.cli", *argv]
-    if jobs is not None:
-        cmd += ["--jobs", str(jobs)]
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
 
@@ -131,10 +129,3 @@ def test_golden(name, argv):
     assert first.stdout == expected
     assert again.stdout == expected
 
-
-def test_verify_is_jobs_invariant():
-    argv = ["verify", "--profile", "mixed", "--count", "4", "--seed", "1"]
-    single = run_cli(argv, jobs=1)
-    threaded = run_cli(argv, jobs=3)
-    assert single.returncode == threaded.returncode == 0
-    assert single.stdout == threaded.stdout

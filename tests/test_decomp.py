@@ -18,6 +18,7 @@ from torsionfree.decomp import (
     decompositions_isomorphic,
     enumerate_splitting_partitions,
     partition_record,
+    set_partitions,
 )
 from torsionfree.groups import (
     Compare,
@@ -28,6 +29,8 @@ from torsionfree.groups import (
     purify,
     sum_groups,
 )
+from torsionfree.indec import property_si_check
+from torsionfree.jonsson import jonsson_basis_from_summands, splitting_decompositions_of
 from torsionfree.linalg import Subspace, identity_matrix, vec
 
 
@@ -109,6 +112,73 @@ class TestSplittingPartition:
         basis = basis_record(g, g.lattice_hull.rows)
         found = enumerate_splitting_partitions(g, basis, max_blocks=2)
         assert len(found) == 3
+
+
+# Every partition of range(t) in restricted-growth-string order; the first
+# (one block) is never a proper partition.
+RGS_ORDER = {
+    3: [
+        ((0, 1, 2),),
+        ((0, 1), (2,)),
+        ((0, 2), (1,)),
+        ((0,), (1, 2)),
+        ((0,), (1,), (2,)),
+    ],
+    4: [
+        ((0, 1, 2, 3),),
+        ((0, 1, 2), (3,)),
+        ((0, 1, 3), (2,)),
+        ((0, 1), (2, 3)),
+        ((0, 1), (2,), (3,)),
+        ((0, 2, 3), (1,)),
+        ((0, 2), (1, 3)),
+        ((0, 2), (1,), (3,)),
+        ((0, 3), (1, 2)),
+        ((0,), (1, 2, 3)),
+        ((0,), (1, 2), (3,)),
+        ((0, 3), (1,), (2,)),
+        ((0,), (1, 3), (2,)),
+        ((0,), (1,), (2, 3)),
+        ((0,), (1,), (2,), (3,)),
+    ],
+}
+
+# Two-block partitions ordered by the bitmask of the second block.
+TWO_BLOCK_ORDER = {
+    3: [((0, 2), (1,)), ((0, 1), (2,)), ((0,), (1, 2))],
+    4: [
+        ((0, 2, 3), (1,)),
+        ((0, 1, 3), (2,)),
+        ((0, 3), (1, 2)),
+        ((0, 1, 2), (3,)),
+        ((0, 2), (1, 3)),
+        ((0, 1), (2, 3)),
+        ((0,), (1, 2, 3)),
+    ],
+}
+
+
+@pytest.mark.parametrize("t", [3, 4])
+def test_partition_walk_order_of_each_caller(t):
+    # every partition of a free group's axis basis splits, so each walk
+    # reports all the partitions it visits, in the order it visits them
+    g = Z(t)
+    basis = basis_record(g, g.lattice_hull.rows)
+    proper = RGS_ORDER[t][1:]
+
+    assert list(set_partitions(t)) == RGS_ORDER[t]
+    found = enumerate_splitting_partitions(g, basis, max_blocks=t)
+    assert [p.blocks for p, _r in found] == proper
+
+    axes = [group_rep(t, [(row, ())]) for row in basis.elements]
+    a = jonsson_basis_from_summands(g, axes)
+    fewest_blocks_first = sorted(proper, key=len)
+    assert [b for b, _h in splitting_decompositions_of(a, t)] == fewest_blocks_first
+    two_blocks = [b for b in proper if len(b) == 2]
+    assert [b for b, _h in splitting_decompositions_of(a, 2)] == two_blocks
+
+    attempts = property_si_check(g, basis).split_attempts
+    assert [p.blocks for p, _ok in attempts] == TWO_BLOCK_ORDER[t]
 
 
 class TestCompleteDecompositionSearch:

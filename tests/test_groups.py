@@ -155,6 +155,13 @@ class TestPurify:
         assert member(r, (F(1, 2), 1))
         assert compare(r, group_rep(2, [((F(1, 2), 1), ())])) is Compare.EQUAL
 
+    def test_repeated_subspace_returns_the_memoised_group(self):
+        g = G3()
+        s = line(2, (1, 1))
+        assert purify(g, s) is purify(g, s)
+        # an equal subspace built afresh finds the same entry
+        assert purify(g, line(2, (2, 2))) is purify(g, s)
+
     @given(group_reps(), vectors(2))
     @settings(max_examples=40, deadline=None)
     def test_idempotent(self, g, direction):

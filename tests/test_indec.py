@@ -84,6 +84,12 @@ class TestPropertySI:
         assert report.verdict is SIVerdict.FAILS
         assert report.split_attempts[0][1]
 
+    def test_zero_group_has_no_partitions_and_a_finite_quotient(self):
+        g = group_rep(2, [])
+        report = property_si_check(g, basis_record(g, []))
+        assert report.split_attempts == ()
+        assert report.verdict is SIVerdict.FAILS
+
     def test_rejects_non_basis(self):
         h = group_rep(2, [((F(1, 2), 0), ()), ((0, 1), ())])
         record = basis_record(h, [(F(1, 2), 0), (0, 1)])
