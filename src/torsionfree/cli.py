@@ -132,8 +132,27 @@ def _int_rows(text: str):
     for part in text.split(";"):
         if not part.strip():
             continue
-        rows.append(tuple(int(x) for x in _vector(part)))
+        row = _vector(part)
+        for x in row:
+            if x.denominator != 1:
+                raise CliError(f"not an integer: {x}")
+        rows.append(tuple(int(x) for x in row))
     return tuple(rows)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return parse
 
 
 def _load_groups(path: str) -> dict[str, GroupRep]:
@@ -709,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose", help="bounded complete-decomposition search")
     sp.add_argument("file")
-    sp.add_argument("--height", type=int, default=1)
-    sp.add_argument("--max-blocks", type=int, default=None)
+    sp.add_argument("--height", type=_int_at_least(1), default=1)
+    sp.add_argument("--max-blocks", type=_int_at_least(2), default=None)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_decompose)
 
@@ -750,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("regulating", help="minimal-index Jonsson basis search")
     sp.add_argument("file")
-    sp.add_argument("--height", type=int, default=2)
+    sp.add_argument("--height", type=_int_at_least(1), default=2)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_regulating)
 
@@ -777,14 +796,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("si-search", help="certificate plus bounded witness search")
     sp.add_argument("file")
-    sp.add_argument("--height", type=int, default=2)
+    sp.add_argument("--height", type=_int_at_least(1), default=2)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_si_search)
 
     sp = sub.add_parser("verify", help="run the property suite on a file or corpus")
     sp.add_argument("file", nargs="?")
     sp.add_argument("--profile", choices=PROFILES)
-    sp.add_argument("--count", type=int, default=5)
+    sp.add_argument("--count", type=_int_at_least(1), default=5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_verify)

@@ -146,15 +146,20 @@ def check_splitting_partition(g: GroupRep, partition: PartitionRecord):
     return False, None
 
 
-def set_partitions(t: int):
-    """Every partition of range(t) into blocks, as tuples of index blocks.
+def set_partitions(t: int, max_blocks: int | None = None):
+    """Every partition of range(t) into at most max_blocks blocks (default t).
 
     Partitions come in lexicographic order of their restricted growth
     strings (labels a with a[0] = 0 and a[i] <= 1 + max(a[:i])); block b
     holds the indices labelled b, so blocks are ordered by least element.
+    Capping every label at max_blocks - 1 walks exactly the partitions with
+    at most max_blocks blocks, in the same order as the full walk.
     """
+    top = t - 1 if max_blocks is None else max_blocks - 1
     if t == 0:
         yield ()
+        return
+    if top < 0:
         return
     a = [0] * t
     while True:
@@ -163,7 +168,7 @@ def set_partitions(t: int):
             blocks[label].append(i)
         yield tuple(tuple(b) for b in blocks)
         i = t - 1
-        while i > 0 and a[i] > max(a[:i]):
+        while i > 0 and (a[i] > max(a[:i]) or a[i] == top):
             i -= 1
         if i == 0:
             return
@@ -180,8 +185,8 @@ def enumerate_splitting_partitions(
     if t > _RANK_LIMIT:
         raise GroupError("rank %d exceeds the partition-enumeration limit" % t)
     out = []
-    for blocks in set_partitions(t):
-        if not 2 <= len(blocks) <= max_blocks:
+    for blocks in set_partitions(t, max_blocks):
+        if len(blocks) < 2:
             continue
         partition = PartitionRecord(basis, blocks)
         ok, record = check_splitting_partition(g, partition)

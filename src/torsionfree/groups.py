@@ -28,13 +28,11 @@ from .linalg import (
     Vec,
     apply_matrix,
     det,
-    echelon_coordinates,
-    hermite_normal_form,
+    hermite_basis,
     is_zero_vec,
     mat,
     mat_inverse,
     smith_normal_form,
-    solve_in_rows,
     vadd,
     vec,
     vscale,
@@ -73,65 +71,61 @@ class GroupRep:
     generators: tuple[Generator, ...]
 
     def __post_init__(self):
-        vectors = [v for v, _s in self.generators]
-        span = Subspace.span(vectors, self.ambient_dim)
-        hull = RationalLattice.from_generators(vectors, self.ambient_dim)
-        w_all = Subspace.span(
-            [v for v, s in self.generators if s.is_all], self.ambient_dim
-        )
-        tagged: set[int] = set()
-        for _v, s in self.generators:
-            if not s.is_all:
-                tagged.update(s.primes)
-        hull_primes: set[int] = set()
-        for row in hull.rows:
-            for e in row:
-                if e:
-                    hull_primes.update(primes_dividing(e.numerator))
-                    hull_primes.update(primes_dividing(e.denominator))
-        object.__setattr__(self, "_span", span)
-        object.__setattr__(self, "_hull", hull)
-        object.__setattr__(self, "_w_all", w_all)
-        object.__setattr__(self, "_tagged_primes", tuple(sorted(tagged)))
-        object.__setattr__(self, "_active_primes", tuple(sorted(tagged | hull_primes)))
         object.__setattr__(self, "_w_cache", {})
         object.__setattr__(self, "_plocal_cache", {})
         object.__setattr__(self, "_purify_cache", {})
 
-    # -- structural data -----------------------------------------------------
+    # -- structural data, derived on first use --------------------------------
 
     @property
     def rank(self) -> int:
-        return self._span.dim
+        return self.span.dim
 
-    @property
+    @cached_property
     def span(self) -> Subspace:
-        return self._span
+        return Subspace.span([v for v, _s in self.generators], self.ambient_dim)
 
-    @property
+    @cached_property
     def lattice_hull(self) -> RationalLattice:
-        return self._hull
+        """The Z-span of the generator vectors."""
+        return RationalLattice.from_generators(
+            [v for v, _s in self.generators], self.ambient_dim
+        )
 
     @cached_property
     def reduced_hull(self) -> RationalLattice:
         """The lattice hull taken modulo the fully divisible directions."""
-        w = self._w_all
+        w = self.divisible_all_directions
         return RationalLattice.from_generators(
-            [w.reduce(r) for r in self._hull.rows], self.ambient_dim
+            [w.reduce(r) for r in self.lattice_hull.rows], self.ambient_dim
         )
 
-    @property
-    def active_primes(self) -> tuple[int, ...]:
-        return self._active_primes
-
-    @property
-    def tagged_primes(self) -> tuple[int, ...]:
-        return self._tagged_primes
-
-    @property
+    @cached_property
     def divisible_all_directions(self) -> Subspace:
         """Span of the generators inverted at every prime."""
-        return self._w_all
+        return Subspace.span(
+            [v for v, s in self.generators if s.is_all], self.ambient_dim
+        )
+
+    @cached_property
+    def tagged_primes(self) -> tuple[int, ...]:
+        """The primes named in the finite prime sets of the generators."""
+        tagged: set[int] = set()
+        for _v, s in self.generators:
+            if not s.is_all:
+                tagged.update(s.primes)
+        return tuple(sorted(tagged))
+
+    @cached_property
+    def active_primes(self) -> tuple[int, ...]:
+        """Tagged primes plus the primes in the lattice-hull entries."""
+        primes = set(self.tagged_primes)
+        for row in self.lattice_hull.rows:
+            for e in row:
+                if e:
+                    primes.update(primes_dividing(e.numerator))
+                    primes.update(primes_dividing(e.denominator))
+        return tuple(sorted(primes))
 
     def divisible_directions(self, p: int) -> Subspace:
         """Span of the generators whose prime set contains p (W_p)."""
@@ -281,23 +275,6 @@ def compare(g: GroupRep, h: GroupRep) -> Compare:
 # ---------------------------------------------------------------------------
 # Purification: the pure subgroup U ∩ G of a subspace U
 # ---------------------------------------------------------------------------
-
-
-def _basis_with_transform(rows, ambient: int):
-    """Lattice basis of the Z-span of rows, plus integer T with basis = T*rows."""
-    rows = [vec(r) for r in rows]
-    if not rows:
-        return [], []
-    scale = lcm(*[e.denominator for r in rows for e in r])
-    int_rows = [[int(e * scale) for e in r] for r in rows]
-    h, u = hermite_normal_form(int_rows)
-    basis = []
-    transform = []
-    for hr, ur in zip(h, u):
-        if any(hr):
-            basis.append(tuple(Fraction(e, scale) for e in hr))
-            transform.append(tuple(ur))
-    return basis, transform
 
 
 def _fp_left_kernel(rows: list[list[int]], p: int, nrows: int) -> list[list[int]]:
@@ -557,14 +534,15 @@ class FiniteQuotient:
     def __init__(self, g: GroupRep, a: GroupRep, parts):
         self.group = g
         self.subgroup = a
-        # parts: list of (p, [(exp, basis_index)...], W_p, basis_rows, sections)
-        # with exponents sorted descending within each prime.
+        # parts: list of (p, [(exp, basis_index)...], W_p, lattice, V, sections)
+        # with exponents sorted descending within each prime; see
+        # _quotient_part_at.
         self._parts = parts
-        depth = max((len(exps) for _p, exps, _w, _b, _s in parts), default=0)
+        depth = max((len(exps) for _p, exps, *_rest in parts), default=0)
         descending = []
         for j in range(depth):
             d = 1
-            for p, exps, _w, _b, _s in parts:
+            for p, exps, *_rest in parts:
                 if j < len(exps):
                     d *= p ** exps[j][0]
             descending.append(d)
@@ -581,11 +559,12 @@ class FiniteQuotient:
         x = vec(x)
         k = len(self.invariant_factors)
         per_prime: dict[int, list[int]] = {}
-        for p, exps, w, basis_rows, _sections in self._parts:
-            residue = w.reduce(x)
-            coords = solve_in_rows(tuple(basis_rows), residue)
+        for p, exps, w, lattice, v, _sections in self._parts:
+            coords = lattice.coordinates(w.reduce(x))
             if coords is None:
                 raise GroupError("vector outside the group span")
+            # coordinates in the Smith basis V^-1 * lattice.rows
+            coords = apply_matrix(coords, v)
             vals = []
             for exp, idx in exps:
                 q = coords[idx]
@@ -598,7 +577,7 @@ class FiniteQuotient:
         for j in range(k):
             desc = k - 1 - j
             residue, modulus = 0, 1
-            for p, exps, _w, _b, _s in self._parts:
+            for p, exps, *_rest in self._parts:
                 if desc < len(exps):
                     pe = p ** exps[desc][0]
                     r = per_prime[p][desc]
@@ -610,11 +589,7 @@ class FiniteQuotient:
 
     def section_vectors(self) -> tuple[Vec, ...]:
         """Elements of G whose images generate the quotient."""
-        out = []
-        for _p, exps, _w, _b, sections in self._parts:
-            for _exp, idx in exps:
-                out.append(sections[idx])
-        return tuple(out)
+        return tuple(s for *_rest, sections in self._parts for s in sections)
 
 
 @dataclass(frozen=True)
@@ -696,26 +671,20 @@ def _quotient_part_at(g: GroupRep, a: GroupRep, p: int):
     """The p-primary part of G/A: exponents, a solving basis, and sections.
 
     Works modulo W_p: the transition matrix between the reduced lattice hulls
-    is p-integral, and its Smith form diagonalizes the quotient's p-part.
-    The returned basis rows carry sections (elements of G's lattice hull
-    realizing them), so preimages of the cyclic summands are available.
+    is p-integral, and its Smith form U * M * V diagonalizes the quotient's
+    p-part in the basis V^-1 * B, where B is the Hermite basis of G's reduced
+    hull.  Coordinates c in B become c * V in that basis.  The sections are
+    elements of G's lattice hull realizing the cyclic summands.
     """
     w = g.divisible_directions(p)
-    reduced_g = [w.reduce(r) for r in g.lattice_hull.rows]
-    basis_g, transform = _basis_with_transform(reduced_g, g.ambient_dim)
-    if not basis_g:
+    hull = g.lattice_hull.rows
+    basis, transform = hermite_basis([w.reduce(r) for r in hull])
+    if not basis:
         return None
-    pivots = tuple(next(j for j, e in enumerate(r) if e) for r in basis_g)
-    sections = []
-    for trow in transform:
-        s = zero_vec(g.ambient_dim)
-        for c, hull_row in zip(trow, g.lattice_hull.rows):
-            if c:
-                s = vadd(s, vscale(c, hull_row))
-        sections.append(s)
+    lattice = RationalLattice(g.ambient_dim, basis)
     coord_rows = []
     for r in a.lattice_hull.rows:
-        c = echelon_coordinates(basis_g, pivots, w.reduce(r))
+        c = lattice.coordinates(w.reduce(r))
         if c is None:
             raise RuntimeError("subgroup hull escapes the group hull span")
         coord_rows.append(c)
@@ -724,20 +693,8 @@ def _quotient_part_at(g: GroupRep, a: GroupRep, p: int):
         raise RuntimeError("p-local transition has p in a denominator")
     int_rows = [[int(e * denom) for e in r] for r in coord_rows]
     d, _u, v = smith_normal_form(int_rows)
-    if len(d) != len(basis_g):
+    if len(d) != len(basis):
         raise RuntimeError("p-local transition is singular")
-    v_inv = mat_inverse(mat(v))
-    new_basis = []
-    new_sections = []
-    for i in range(len(basis_g)):
-        row = zero_vec(g.ambient_dim)
-        sec = zero_vec(g.ambient_dim)
-        for c, b_row, s_row in zip(v_inv[i], basis_g, sections):
-            if c:
-                row = vadd(row, vscale(c, b_row))
-                sec = vadd(sec, vscale(c, s_row))
-        new_basis.append(row)
-        new_sections.append(sec)
     exps = []
     for i, di in enumerate(d):
         e = valuation(di, p) if di % p == 0 else 0
@@ -746,4 +703,9 @@ def _quotient_part_at(g: GroupRep, a: GroupRep, p: int):
     if not exps:
         return None
     exps.sort(key=lambda t: -t[0])
-    return (p, exps, w, new_basis, new_sections)
+    # the section of basis row i of V^-1 * B is row i of V^-1 * T * hull
+    v_inv = mat_inverse(mat(v))
+    sections = tuple(
+        apply_matrix(apply_matrix(v_inv[i], transform), hull) for _e, i in exps
+    )
+    return (p, exps, w, lattice, v, sections)

@@ -52,7 +52,7 @@ class SIReport:
 
 def _two_block_blockings(t: int) -> list[tuple[tuple[int, ...], ...]]:
     """Partitions of range(t) into two blocks, ordered by the bitmask of the second."""
-    blockings = [b for b in set_partitions(t) if len(b) == 2]
+    blockings = [b for b in set_partitions(t, 2) if len(b) == 2]
     blockings.sort(key=lambda blocks: sum(1 << i for i in blocks[1]))
     return blockings
 

@@ -121,7 +121,7 @@ def _block_hull(a: JonssonBasis, block) -> GroupRep:
 
 def _groupings(t: int, max_blocks: int):
     """Proper groupings of t summands into at most max_blocks blocks, fewest blocks first."""
-    return sorted((b for b in set_partitions(t) if 2 <= len(b) <= max_blocks), key=len)
+    return sorted((b for b in set_partitions(t, max_blocks) if len(b) >= 2), key=len)
 
 
 def splitting_decompositions_of(a: JonssonBasis, max_blocks: int):

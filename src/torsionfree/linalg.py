@@ -48,10 +48,6 @@ def vadd(x: Vec, y: Vec) -> Vec:
     return tuple(a + b for a, b in zip(x, y, strict=True))
 
 
-def vsub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
 def vscale(c, x: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * a for a in x)
@@ -77,19 +73,10 @@ def mat_inverse(a: Mat) -> Mat:
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("matrix is not square")
-    aug = [list(a[i]) + list(unit_vec(n, i)) for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [e - f * g for e, g in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    _r, t, pivots = rref(a)
+    if len(pivots) != n:
+        raise ValueError("matrix is singular")
+    return t
 
 
 def det(a: Mat) -> Fraction:
@@ -209,16 +196,6 @@ def solve_in_rows(rows: Mat, target: Vec) -> Vec | None:
         if ui:
             coeffs = vadd(coeffs, vscale(ui, trow))
     return coeffs
-
-
-def rational_kernel(rows: Mat) -> Mat:
-    """Basis of the left kernel {x : x * rows == 0} over Q."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    work = [list(rows[i]) + list(unit_vec(len(rows), i)) for i in range(len(rows))]
-    rank = len(_eliminate(work, ncols))
-    return tuple(tuple(row[ncols:]) for row in work[rank:])
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +340,21 @@ def smith_normal_form(rows) -> tuple[tuple[int, ...], IMat, IMat]:
     return d, tuple(map(tuple, u)), tuple(map(tuple, v))
 
 
+def hermite_basis(rows) -> tuple[Mat, IMat]:
+    """Hermite basis of the Z-span of rational rows, and T with basis == T * rows.
+
+    The rows are scaled by the lcm s of their denominators; the nonzero rows
+    of the integer Hermite form, divided by s, are the basis, and T holds the
+    matching rows of the unimodular transform.
+    """
+    if not rows:
+        return (), ()
+    scale = lcm(*[e.denominator for r in rows for e in r])
+    h, u = hermite_normal_form([[int(e * scale) for e in r] for r in rows])
+    rank = sum(1 for r in h if any(r))
+    return tuple(tuple(Fraction(e, scale) for e in r) for r in h[:rank]), u[:rank]
+
+
 def integer_kernel(rows) -> IMat:
     """Z-basis of the integer left kernel {x in Z^m : x * rows == 0}.
 
@@ -399,10 +391,6 @@ class Subspace:
         return Subspace(ambient_dim, r, p)
 
     @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, (), ())
-
-    @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, identity_matrix(ambient_dim), tuple(range(ambient_dim)))
 
@@ -435,28 +423,19 @@ class Subspace:
         return Subspace.span(self.rows + other.rows, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        _s, inter = span_and_intersect(self.rows, other.rows, self.ambient_dim)
-        return inter
+        """Intersection by one Zassenhaus elimination of [a | a] over [b | 0].
 
-
-def span_and_intersect(rows_a, rows_b, ambient_dim: int) -> tuple[Subspace, Subspace]:
-    """Sum and intersection of two spans, via one Zassenhaus elimination."""
-    a = mat(rows_a)
-    b = mat(rows_b)
-    block = [tuple(r) + tuple(r) for r in a] + [tuple(r) + zero_vec(ambient_dim) for r in b]
-    r, _p = _echelon(block)
-    sum_rows = []
-    inter_rows = []
-    for row in r:
-        left, right = row[:ambient_dim], row[ambient_dim:]
-        if any(left):
-            sum_rows.append(left)
-        elif any(right):
-            inter_rows.append(right)
-    return (
-        Subspace.span(sum_rows, ambient_dim),
-        Subspace.span(inter_rows, ambient_dim),
-    )
+        The echelon rows whose left half vanishes are the reduced echelon
+        basis of the intersection in their right half, so no second
+        elimination is needed.
+        """
+        n = self.ambient_dim
+        block = [r + r for r in self.rows] + [r + zero_vec(n) for r in other.rows]
+        rows, pivots = _echelon(block)
+        k = sum(1 for p in pivots if p < n)
+        return Subspace(
+            n, tuple(r[n:] for r in rows[k:]), tuple(p - n for p in pivots[k:])
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +466,7 @@ class RationalLattice:
         for g in gens:
             if len(g) != ambient_dim:
                 raise ValueError("vector length mismatch")
-        gens = [g for g in gens if not is_zero_vec(g)]
-        if not gens:
-            return RationalLattice(ambient_dim, ())
-        scale = lcm(*[e.denominator for g in gens for e in g])
-        int_rows = [[int(e * scale) for e in g] for g in gens]
-        h, _u = hermite_normal_form(int_rows)
-        rows = tuple(
-            tuple(Fraction(e, scale) for e in r) for r in h if any(r)
-        )
+        rows, _t = hermite_basis([g for g in gens if not is_zero_vec(g)])
         return RationalLattice(ambient_dim, rows)
 
     @property
@@ -516,12 +487,6 @@ class RationalLattice:
     def contains(self, x: Vec) -> bool:
         c = self.coordinates(x)
         return c is not None and all(e.denominator == 1 for e in c)
-
-    def span(self) -> Subspace:
-        return Subspace.span(self.rows, self.ambient_dim)
-
-    def sum(self, other: "RationalLattice") -> "RationalLattice":
-        return RationalLattice.from_generators(self.rows + other.rows, self.ambient_dim)
 
     def intersect_subspace(self, space: Subspace) -> "RationalLattice":
         """The sublattice of vectors lying in the given subspace."""

@@ -71,11 +71,35 @@ class TestExitCodes:
         assert main(["split", str(DATA / "g3.grp"), "--basis", "(1,0);(2,0)", "--partition", "1|2"]) == 1
 
     def test_regulating_without_basis_is_two(self, capsys):
-        # height 0 yields no candidate lines, so the search finds nothing
-        assert main(["regulating", str(DATA / "g3.grp"), "--height", "0"]) == 2
+        # G2 has three distinct divisible lines W_2, W_3, W_5, which no two
+        # rank-1 summands can all carry, so no Jonsson basis exists
+        assert main(["regulating", str(DATA / "g2.grp"), "--height", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "no Jonsson basis found within the height bound (height 0)\n"
+        assert captured.err == "no Jonsson basis found within the height bound (height 1)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["si-search", "g2.grp", "--height", "-1"],
+            ["regulating", "g3.grp", "--height", "0"],
+            ["decompose", "g1.grp", "--max-blocks", "1"],
+            ["verify", "g3.grp", "--count", "-3"],
+        ],
+        ids=["height-negative", "height-zero", "max-blocks", "count"],
+    )
+    def test_nonsense_search_bound_is_one(self, capsys, argv):
+        argv = [argv[0], str(DATA / argv[1]), *argv[2:]]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument {argv[2]}: must be at least ")
+
+    @pytest.mark.parametrize("u", ["(3/2)", "(1/2)"])
+    def test_lift_rejects_fractional_images(self, capsys, u):
+        argv = ["lift", str(DATA / "g3.grp"), "--summands", "(1,0)|(0,1)", "--u", u, "--w", "-"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: not an integer: {u[1:-1]}\n"
 
     @pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
     def test_internal_error_is_one_without_traceback(self, capsys, monkeypatch, exc):

@@ -181,6 +181,14 @@ def test_partition_walk_order_of_each_caller(t):
     assert [p.blocks for p, _ok in attempts] == TWO_BLOCK_ORDER[t]
 
 
+@pytest.mark.parametrize("t", range(8))
+def test_bounded_partition_walk_is_the_filtered_full_walk(t):
+    full = list(set_partitions(t))
+    for max_blocks in range(t + 2):
+        bounded = list(set_partitions(t, max_blocks))
+        assert bounded == [b for b in full if len(b) <= max_blocks]
+
+
 class TestCompleteDecompositionSearch:
     def test_g1_decomposes(self):
         found = complete_decomposition_search(G1())

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import SMALL_PRIMES, group_reps, nonzero_group_reps, vectors
+from torsionfree.corpus import generate
 from torsionfree.groups import (
     Compare,
     GroupError,
@@ -24,6 +25,7 @@ from torsionfree.groups import (
     zero_group,
 )
 from torsionfree.linalg import Subspace, vec, vscale
+from torsionfree.numutil import primes_dividing, valuation
 from torsionfree.rank1 import format_type, parse_type
 
 
@@ -321,6 +323,40 @@ class TestIndexAndQuotient:
             for a, b, d in zip(quo.image(v), quo.image(w), quo.invariant_factors)
         )
         assert left == right
+
+
+def quotient_pairs():
+    """(G, A) pairs with finite G/A: G3/A3, corpus extensions, scaled groups."""
+    yield G3(), group_rep(2, [((1, 0), (3,)), ((0, 1), (5,))])
+    for seed in range(4):
+        sample = generate("acd", seed)
+        yield sample.group, sample.base
+    for seed in range(3):
+        g = generate("cd", seed).group
+        yield g, scale_group(g, 12)
+
+
+@pytest.mark.parametrize("g,a", list(quotient_pairs()))
+def test_sections_map_to_units_and_the_subgroup_to_zero(g, a):
+    q = index_and_quotient(g, a).quotient
+    k = len(q.invariant_factors)
+    for v, _s in a.generators:
+        assert q.image(v) == (0,) * k
+    # one section per prime and nonzero p-part, taken from the largest
+    # factor down; its image has p-part 1 at its factor and 0 elsewhere
+    sections = iter(q.section_vectors())
+    for p in primes_dividing(q.order):
+        pe = [p ** valuation(d, p) for d in q.invariant_factors]
+        for j in reversed(range(k)):
+            if pe[j] == 1:
+                break
+            s = next(sections)
+            assert member(g, s)
+            image = q.image(s)
+            assert [image[i] % pe[i] for i in range(k)] == [
+                1 if i == j else 0 for i in range(k)
+            ]
+    assert next(sections, None) is None
 
 
 class TestPresentation:

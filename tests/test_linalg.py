@@ -9,13 +9,13 @@ from torsionfree.linalg import (
     RationalLattice,
     Subspace,
     det,
+    hermite_basis,
     hermite_normal_form,
     identity_matrix,
     integer_kernel,
     mat,
     mat_inverse,
     mat_mul,
-    rational_kernel,
     rref,
     smith_normal_form,
     solve_in_rows,
@@ -89,37 +89,6 @@ class TestSolve:
             vec([sum(ci * row[j] for ci, row in zip(c, rows)) for j in range(3)])
             == target
         )
-
-
-class TestKernel:
-    @given(integer_matrices(3, 2))
-    def test_kernel_annihilates(self, entries):
-        rows = mat(entries)
-        for k in rational_kernel(rows):
-            assert all(
-                sum(ki * row[j] for ki, row in zip(k, rows)) == 0 for j in range(2)
-            )
-
-    @given(integer_matrices(3, 2))
-    def test_rank_nullity(self, entries):
-        rows = mat(entries)
-        _, _, pivots = rref(rows)
-        assert len(rational_kernel(rows)) + len(pivots) == 3
-
-    @given(rational_matrices())
-    @settings(max_examples=60)
-    def test_kernel_of_rational_rows(self, entries):
-        rows = mat(entries)
-        kernel = rational_kernel(rows)
-        for k in kernel:
-            assert all(
-                sum(ki * row[j] for ki, row in zip(k, rows)) == 0
-                for j in range(len(rows[0]))
-            )
-        _, _, pivots = rref(rows)
-        assert len(kernel) == len(rows) - len(pivots)
-        if kernel:  # the kernel rows are independent
-            assert len(rref(kernel)[2]) == len(kernel)
 
 
 class TestHermite:
@@ -216,6 +185,18 @@ class TestSubspace:
         b = Subspace.span([vec(v) for v in vb], 3)
         assert a.dim + b.dim == a.sum(b).dim + a.intersect(b).dim
 
+    @given(
+        st.lists(vectors(3), min_size=1, max_size=3),
+        st.lists(vectors(3), min_size=1, max_size=3),
+    )
+    @settings(max_examples=60)
+    def test_intersection_is_canonical_and_common(self, va, vb):
+        a = Subspace.span([vec(v) for v in va], 3)
+        b = Subspace.span([vec(v) for v in vb], 3)
+        inter = a.intersect(b)
+        assert inter == Subspace.span(inter.rows, 3)
+        assert a.contains_subspace(inter) and b.contains_subspace(inter)
+
     def test_reduce_is_canonical_coset_map(self):
         s = Subspace.span([vec([1, 2])], 2)
         x = vec([3, 1])
@@ -268,6 +249,15 @@ class TestRationalLattice:
             assert lat.coordinates(x) == solve_in_rows(lat.rows, x)
         assert lat.coordinates(inside) is not None
 
+    @given(st.lists(vectors(3, max_num=2, max_den=4), min_size=1, max_size=4))
+    @settings(max_examples=60)
+    def test_hermite_basis_transform(self, vs):
+        # zero rows are kept in the input, so T indexes every given row
+        rows = [vec(v) for v in vs] + [vec([0, 0, 0])]
+        basis, t = hermite_basis(rows)
+        assert basis == RationalLattice.from_generators(rows, 3).rows
+        assert mat_mul(mat(t), tuple(rows)) == basis
+
     def test_coordinates_reject_wrong_length(self):
         lat = RationalLattice.from_generators([vec([1, 2])], 2)
         with pytest.raises(ValueError):
@@ -287,6 +277,15 @@ class TestMatrixBasics:
     def test_inverse(self):
         m = mat([[1, 2], [3, 5]])
         assert mat_mul(m, mat_inverse(m)) == identity_matrix(2)
+
+    @given(integer_matrices(3, 3))
+    def test_inverse_of_random_matrices(self, entries):
+        m = mat(entries)
+        if det(m) == 0:
+            with pytest.raises(ValueError):
+                mat_inverse(m)
+        else:
+            assert mat_mul(m, mat_inverse(m)) == identity_matrix(3)
 
     def test_singular_raises(self):
         with pytest.raises(ValueError):
