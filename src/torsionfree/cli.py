@@ -51,6 +51,7 @@ from .jonsson import (
     regulating_search,
 )
 from .linalg import Subspace, vadd, vec, vscale
+from .numutil import parse_rational
 from .oracle import brute_force_member, brute_force_purify, sufficient_exponent
 from .quasi import commensurable, quasi_automorphism_check, quasi_equal_strict, quasi_split_check
 from .rank1 import format_type
@@ -71,9 +72,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"bad rational: {text.strip()!r}")
+        return parse_rational(text.strip())
+    except ValueError:
+        raise CliError(f"bad rational: {text.strip()!r}") from None
 
 
 def _vector(text: str):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groups import GroupRep, group_rep
-from .numutil import is_prime
+from .numutil import is_prime, parse_rational
 from .rank1 import PrimeSet
 
 
@@ -32,8 +32,8 @@ def _fail(message: str, line_no: int, line: str, token: str):
 
 def _parse_rational(text: str, line_no: int, line: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text)
+    except ValueError:
         _fail(f"bad rational {text!r}", line_no, line, text)
 
 

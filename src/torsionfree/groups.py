@@ -9,8 +9,16 @@ and images under rational maps.
 Membership is decided p-locally.  For every prime p the localization of G at
 p is W_p + Z_(p)*L, where W_p is the span of the generators whose prime set
 contains p and L is the lattice hull (the Z-span of all generators).  A
-vector lies in G iff it lies in the span and in every localization; only
-finitely many primes need checking.
+vector lies in G iff it lies in the span and in every localization.  Every
+prime outside the finite prime sets (an untagged prime) sees the same data:
+W_ALL and the reduced hull L mod W_ALL.  Each test is compiled once per
+group into an integer coordinate map (``linalg.CoordinateMap``): an integer
+matrix N with one scale s sending x = y/d to coordinate numerators y*N over
+d*s.  So x lies in G iff the untagged map's residual vanishes (x is in the
+span), no coordinate denominator of the map at a tagged prime p is
+divisible by p, and the untagged map's coordinate denominators are products
+of tagged primes.  Deciding this takes one lcm, integer dot products and
+gcds, with no rational arithmetic and no factoring.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .linalg import (
+    CoordinateMap,
     Mat,
     RationalLattice,
     Subspace,
@@ -29,6 +38,7 @@ from .linalg import (
     apply_matrix,
     det,
     hermite_basis,
+    integer_form,
     is_zero_vec,
     mat,
     mat_inverse,
@@ -73,6 +83,7 @@ class GroupRep:
     def __post_init__(self):
         object.__setattr__(self, "_w_cache", {})
         object.__setattr__(self, "_plocal_cache", {})
+        object.__setattr__(self, "_map_cache", {})
         object.__setattr__(self, "_purify_cache", {})
 
     # -- structural data, derived on first use --------------------------------
@@ -94,11 +105,22 @@ class GroupRep:
 
     @cached_property
     def reduced_hull(self) -> RationalLattice:
-        """The lattice hull taken modulo the fully divisible directions."""
+        """The lattice hull taken modulo the fully divisible directions.
+
+        Built from the generators not inverted at every prime, reduced modulo
+        W_ALL: the ALL generators reduce to zero, and the reduction is linear,
+        so this is the same lattice without the hull's own HNF.
+        """
         w = self.divisible_all_directions
         return RationalLattice.from_generators(
-            [w.reduce(r) for r in self.lattice_hull.rows], self.ambient_dim
+            [w.reduce(v) for v, s in self.generators if not s.is_all],
+            self.ambient_dim,
         )
+
+    @cached_property
+    def _untagged_map(self) -> CoordinateMap:
+        """Coordinate map of the test at every untagged prime (W_ALL, reduced hull)."""
+        return CoordinateMap.build(self.divisible_all_directions, self.reduced_hull)
 
     @cached_property
     def divisible_all_directions(self) -> Subspace:
@@ -147,25 +169,25 @@ class GroupRep:
     # -- p-local membership machinery -----------------------------------------
 
     def _plocal_data(self, p: int):
+        """(W_p, the other generators' lattice mod W_p): the data of G at p."""
+        if p not in self.tagged_primes:
+            return self.divisible_all_directions, self.reduced_hull
         data = self._plocal_cache.get(p)
         if data is None:
             w = self.divisible_directions(p)
             rest = [w.reduce(v) for v, s in self.generators if p not in s]
-            rest = [r for r in rest if not is_zero_vec(r)]
-            lattice = RationalLattice.from_generators(rest, self.ambient_dim)
-            data = (w, lattice)
+            data = (w, RationalLattice.from_generators(rest, self.ambient_dim))
             self._plocal_cache[p] = data
         return data
 
-    def _member_at(self, p: int, x: Vec) -> bool:
-        w, lattice = self._plocal_data(p)
-        residue = w.reduce(x)
-        if is_zero_vec(residue):
-            return True
-        coords = lattice.coordinates(residue)
-        if coords is None:
-            return False
-        return all(c.denominator % p != 0 for c in coords)
+    def _local_map(self, p: int) -> CoordinateMap:
+        """Coordinate map of the test at p; the untagged primes share one."""
+        if p not in self.tagged_primes:
+            return self._untagged_map
+        cached = self._map_cache.get(p)
+        if cached is None:
+            cached = self._map_cache[p] = CoordinateMap.build(*self._plocal_data(p))
+        return cached
 
 
 def group_rep(ambient_dim: int, generators) -> GroupRep:
@@ -224,19 +246,34 @@ def sum_groups(*groups: GroupRep) -> GroupRep:
 
 
 def member(g: GroupRep, x) -> bool:
-    """Exact membership x in G, decided p-locally over a finite prime set."""
-    x = vec(x)
-    if len(x) != g.ambient_dim:
+    """Exact membership x in G, read off the group's integer coordinate maps."""
+    y, d = integer_form(x)
+    if len(y) != g.ambient_dim:
         raise ValueError("vector length mismatch")
-    if is_zero_vec(x):
+    return _member_scaled(g, y, d)
+
+
+def _member_scaled(g: GroupRep, y: tuple[int, ...], d: int) -> bool:
+    """Whether y/d lies in G (y an integer vector, d a positive integer)."""
+    if not any(y):
         return True
-    coords = g.lattice_hull.coordinates(x)
-    if coords is None:
+    untagged = g._untagged_map
+    if not untagged.in_span(y):
         return False
-    check = set(g.active_primes)
-    for c in coords:
-        check.update(primes_dividing(c.denominator))
-    return all(g._member_at(p, x) for p in sorted(check))
+    # lcm of the coordinate denominators; only tagged primes may divide it
+    u = d * untagged.scale
+    rest = u // gcd(u, *untagged.numerators(y))
+    for p in g.tagged_primes:
+        while rest % p == 0:
+            rest //= p
+    if rest != 1:
+        return False
+    for p in g.tagged_primes:
+        local = g._local_map(p)
+        u = d * local.scale
+        if u % p == 0 and (u // gcd(u, *local.numerators(y))) % p == 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +282,16 @@ def member(g: GroupRep, x) -> bool:
 
 
 def _piece_contained(g: GroupRep, v: Vec, s: PrimeSet) -> bool:
-    """Whether the rank-1 module Z[S^-1]*v is contained in G."""
-    if not member(g, v):
+    """Whether the rank-1 module Z[S^-1]*v is contained in G.
+
+    For v in G, v lies in W_p iff its coordinates in the p-local map vanish.
+    """
+    y, d = integer_form(v)
+    if not _member_scaled(g, y, d):
         return False
     if s.is_all:
-        return g.divisible_all_directions.contains_vector(v)
-    return all(g.divisible_directions(p).contains_vector(v) for p in s)
+        return not any(g._untagged_map.numerators(y))
+    return all(not any(g._local_map(p).numerators(y)) for p in s)
 
 
 def subgroup_leq(h: GroupRep, g: GroupRep) -> bool:
@@ -312,19 +353,14 @@ def _saturation_candidates(g: GroupRep, current: GroupRep, p: int) -> list[Vec]:
     idx = [i for i, (_v, s) in enumerate(current.generators) if p not in s]
     if not idx:
         return []
-    w, lattice = g._plocal_data(p)
+    local = g._local_map(p)
     rows_modp: list[list[int]] = []
     for i in idx:
-        h = w.reduce(current.generators[i][0])
-        if lattice.rank == 0:
-            if not is_zero_vec(h):
-                raise RuntimeError("generator escapes the divisible directions")
-            rows_modp.append([])
-            continue
-        c = lattice.coordinates(h)
-        if c is None:
-            raise RuntimeError("generator escapes the p-local module")
-        rows_modp.append([mod_p(e, p) for e in c])
+        y, d = integer_form(current.generators[i][0])
+        if not local.in_span(y):
+            raise RuntimeError("generator escapes the group span")
+        u = d * local.scale
+        rows_modp.append([mod_p(Fraction(t, u), p) for t in local.numerators(y)])
     out = []
     for coeffs in _fp_left_kernel(rows_modp, p, len(idx)):
         z = zero_vec(g.ambient_dim)
@@ -480,39 +516,35 @@ def divisible_part(g: GroupRep, p) -> GroupRep:
 
 
 def element_type(g: GroupRep, a) -> DivisibilityType:
-    """The type of a in G: describes {r in Q : r*a in G} as (1/m) Z[S]."""
-    a = vec(a)
-    if not member(g, a):
+    """The type of a in G: describes {r in Q : r*a in G} as (1/m) Z[S].
+
+    Heights are read off the coordinate maps.  The p-height of a is the least
+    p-valuation of its nonzero coordinates in the map at p, which for a in G
+    is v_p(gcd of the numerators) - v_p(common denominator); a lies in W_p,
+    and has infinite p-height, iff those coordinates all vanish.  Untagged
+    primes share the untagged map, so their heights together are the gcd of
+    its coordinates with the tagged primes divided out.
+    """
+    y, d = integer_form(a)
+    if len(y) != g.ambient_dim:
+        raise ValueError("vector length mismatch")
+    if not _member_scaled(g, y, d):
         raise GroupError("element does not lie in the group")
-    if is_zero_vec(a):
+    untagged = g._untagged_map
+    common = gcd(*untagged.numerators(y))
+    if not common:
         return div_type(1, ALL)
-    w = g.divisible_all_directions
-    if w.contains_vector(a):
-        return div_type(1, ALL)
-    inverted = [
-        p for p in g.tagged_primes if g.divisible_directions(p).contains_vector(a)
-    ]
-    # Finite-height primes beyond the active set can only divide the gcd of
-    # the coordinates of a taken modulo the fully divisible directions.
-    coords = g.reduced_hull.coordinates(w.reduce(a))
-    common = 0
-    for c in coords or ():
-        common = gcd(common, c.numerator)
-    candidates = set(g.active_primes)
-    if common:
-        candidates.update(primes_dividing(common))
-    m = 1
-    for p in sorted(candidates):
-        if p in inverted:
-            continue
-        height = 0
-        probe = vscale(Fraction(1, p), a)
-        while member(g, probe):
-            height += 1
-            if height > 512:
-                raise RuntimeError("unbounded height at a finite prime")
-            probe = vscale(Fraction(1, p), probe)
-        m *= p**height
+    m = common // gcd(common, d * untagged.scale)
+    inverted = []
+    for p in g.tagged_primes:
+        while m % p == 0:
+            m //= p
+        local = g._local_map(p)
+        common = gcd(*local.numerators(y))
+        if not common:
+            inverted.append(p)
+        else:
+            m *= p ** (valuation(common, p) - valuation(d * local.scale, p))
     return div_type(m, prime_set(inverted))
 
 

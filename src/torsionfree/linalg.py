@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -26,6 +27,13 @@ def mat(rows) -> Mat:
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out
+
+
+def integer_form(x) -> tuple[tuple[int, ...], int]:
+    """(y, d) with x == y/d: y an integer vector, d the lcm of the denominators."""
+    entries = [e if isinstance(e, (int, Fraction)) else Fraction(e) for e in x]
+    d = lcm(*[e.denominator for e in entries])
+    return tuple(e.numerator * (d // e.denominator) for e in entries), d
 
 
 def zero_vec(n: int) -> Vec:
@@ -164,8 +172,12 @@ def rref(rows: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:
     )
 
 
-def echelon_coordinates(rows: Mat, pivots: tuple[int, ...], x: Vec) -> Vec | None:
-    """Coordinates of x in echelon rows (distinct pivots), or None if outside."""
+def _substitute(rows: Mat, pivots: tuple[int, ...], x) -> tuple[list, list]:
+    """Forward substitution of x along echelon rows: (coefficients, residual).
+
+    Both are linear in x, and the residual is zero exactly when x lies in the
+    span of the rows.
+    """
     coeffs = [Fraction(0)] * len(rows)
     residual = list(x)
     for i, (row, piv) in enumerate(zip(rows, pivots)):
@@ -174,6 +186,12 @@ def echelon_coordinates(rows: Mat, pivots: tuple[int, ...], x: Vec) -> Vec | Non
             coeffs[i] = c
             for j in range(piv, len(residual)):
                 residual[j] -= c * row[j]
+    return coeffs, residual
+
+
+def echelon_coordinates(rows: Mat, pivots: tuple[int, ...], x: Vec) -> Vec | None:
+    """Coordinates of x in echelon rows (distinct pivots), or None if outside."""
+    coeffs, residual = _substitute(rows, pivots, x)
     if any(residual):
         return None
     return tuple(coeffs)
@@ -500,3 +518,52 @@ class RationalLattice:
         kernel = integer_kernel(int_constraints)
         gens = [apply_matrix(vec(k), self.rows) for k in kernel]
         return RationalLattice.from_generators(gens, self.ambient_dim)
+
+
+# ---------------------------------------------------------------------------
+# Integer coordinate maps (fraction-free evaluation of lattice coordinates)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CoordinateMap:
+    """Lattice coordinates of x modulo a subspace W, as one integer matrix.
+
+    Reducing x modulo W's echelon rows and forward-substituting along the
+    lattice's HNF pivots are both linear in x, and so is the residual the
+    substitution leaves.  With x = y/d (``integer_form``), the coordinates of
+    (x mod W) in the lattice basis are ``numerators(y)`` over d * scale, and
+    x lies in W + span(lattice) iff ``in_span(y)``.  Evaluation is integer
+    dot products only.
+    """
+
+    scale: int
+    columns: tuple[tuple[int, ...], ...]  # one per lattice basis row
+    residual: tuple[tuple[int, ...], ...]  # the nonzero residual columns
+
+    @staticmethod
+    def build(space: Subspace, lattice: RationalLattice) -> "CoordinateMap":
+        n = space.ambient_dim
+        if lattice.ambient_dim != n:
+            raise ValueError("dimension mismatch")
+        # row i is the image of the i-th unit vector: coordinates, then residual
+        images = []
+        for i in range(n):
+            coeffs, residual = _substitute(
+                lattice.rows, lattice.pivots, space.reduce(unit_vec(n, i))
+            )
+            images.append(coeffs + residual)
+        scale = lcm(*[e.denominator for row in images for e in row])
+        ints = [[e.numerator * (scale // e.denominator) for e in row] for row in images]
+        cols = list(zip(*ints))
+        r = lattice.rank
+        return CoordinateMap(
+            scale, tuple(cols[:r]), tuple(c for c in cols[r:] if any(c))
+        )
+
+    def numerators(self, y) -> tuple[int, ...]:
+        """Coordinate numerators of x = y/d; the common denominator is d * scale."""
+        return tuple(sum(map(mul, y, c)) for c in self.columns)
+
+    def in_span(self, y) -> bool:
+        return not any(sum(map(mul, y, c)) for c in self.residual)

@@ -2,8 +2,25 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt
+
+_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational written as [+-]digits[/digits]; ValueError otherwise.
+
+    Fraction() alone also takes decimals, exponents and underscores, so a
+    six-character token such as 1e9999 would become a 10,000-digit integer.
+    """
+    if not _RATIONAL_TOKEN.fullmatch(text):
+        raise ValueError(f"not a rational token: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def factorize(n: int) -> dict[int, int]:

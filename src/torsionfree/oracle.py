@@ -20,22 +20,59 @@ the coordinate lattice, so solvability at that finite level is membership.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 from .groups import GroupRep
-from .linalg import Subspace, Vec, is_zero_vec, solve_in_rows, vec, vscale
+from .linalg import Subspace, Vec, det, is_zero_vec, solve_in_rows, vec, vscale
 from .numutil import divisors, factorize, primes_dividing, valuation
 
 
 def sufficient_exponent(g: GroupRep, x, extra: int = 2) -> int:
     """A denominator-exponent bound at which brute_force_member is complete.
 
-    Coefficients solving x = sum q_i v_i come from Cramer solves against the
-    generator matrix, so their p-valuations are bounded below by the query's
-    own valuations plus the valuation content the generators can contribute
-    (at most twice the rank many entries deep through determinants).
+    Let R be the generators not inverted at every prime, reduced modulo
+    W_ALL, and x' the reduction of x; read both on the pivot columns of
+    span(R), of which there are r.  At level B the oracle decides whether x'
+    lies in M_B = sum_i Z * R_i / D_i, and x' in M_B holds iff it holds
+    p-locally at every prime.  An untagged p is a unit in every D_i, so
+    there M_B and G agree.  At a tagged p, with A the rows inverted at p and
+    C the rest, M_B is p^-B * Z_(p) * A + Z_(p) * C there, and x in G means
+    x' = w + l with w in span(A) and l in Z_(p) * C.  So x' lies in M_B at p
+    once p^B * w lies in Z_(p) * A' for a basis A' of span(A) taken from A.
+    Extend A' by rows of C to a basis; by Cramer's rule, coordinates in it
+    are ratios of maximal minors of R.  Let mu be the largest |v_p| of a
+    nonzero maximal minor.  Every row of R then has coordinates of valuation
+    >= -2*mu, and so does l.  The coordinates of x' have valuation
+    >= -(need + (r - 1) * content + mu), where need is -min v_p over x' and
+    content is -min v_p over the entries of R, at least 0.  So
+    B = max(need + (r - 1) * content + mu, 2 * mu) suffices at p.
+
+    The bound never falls below the earlier entry-valuation bound
+    need(x) + 2 * rank * content(generators), so printed bounds do not
+    drop; a larger bound is never wrong, only slower.  The minors cost
+    C(k, r) determinants of size r for k rows.
     """
     x = vec(x)
+    bound = max(1, _entry_bound(g, x))
+    w = g.divisible_all_directions
+    rows = [w.reduce(v) for v, s in g.generators if not s.is_all]
+    cols = g.reduced_hull.pivots  # the HNF of R: its pivots are span(R)'s
+    r = len(cols)
+    cut = [tuple(row[j] for j in cols) for row in rows]
+    minors = [m for m in map(det, combinations(cut, r)) if m]
+    target = [e for e in (w.reduce(x)[j] for j in cols) if e]
+    entries = [e for row in cut for e in row if e]
+    for p in g.tagged_primes:
+        mu = max(abs(valuation(m, p)) for m in minors)
+        need = max((-valuation(e, p) for e in target), default=0)
+        content = max([0] + [-valuation(e, p) for e in entries])
+        bound = max(bound, need + (r - 1) * content + mu, 2 * mu)
+    return bound + extra
+
+
+def _entry_bound(g: GroupRep, x: Vec) -> int:
+    """need(x) + 2 * rank * content over the generators' entries, per prime."""
     primes = set(g.active_primes)
     for e in x:
         if e:
@@ -49,7 +86,7 @@ def sufficient_exponent(g: GroupRep, x, extra: int = 2) -> int:
                 if e:
                     content = max(content, abs(valuation(e, p)))
         bound = max(bound, need + 2 * max(1, g.rank) * content)
-    return bound + extra
+    return bound
 
 
 def _pval(x: int, p: int, cap: int) -> int:

@@ -64,6 +64,11 @@ class TestExitCodes:
     def test_bad_vector_is_one(self, capsys):
         assert main(["member", str(DATA / "g3.grp"), "(1,oops)"]) == 1
 
+    @pytest.mark.parametrize("token", ["1e200000", "1_0", "2.5", "1/0"])
+    def test_vector_tokens_are_digits_over_digits(self, capsys, token):
+        assert main(["member", str(DATA / "g3.grp"), f"(1,{token})"]) == 1
+        assert f"bad rational: {token!r}" in capsys.readouterr().err
+
     def test_bad_subcommand_is_one(self, capsys):
         assert main(["frobnicate"]) == 1
 

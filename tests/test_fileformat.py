@@ -73,6 +73,20 @@ class TestParse:
         assert e.value.col > 1
 
 
+    @pytest.mark.parametrize(
+        "token", ["1e200000", "1_0", "1.5", "0x10", "1/0", "1/-2", "--1", "+", "1/"]
+    )
+    def test_rational_tokens_are_digits_over_digits(self, token):
+        with pytest.raises(ParseError) as e:
+            parse_group_file(f"group g ambient 2\ngen [1, {token}] inv {{}}\n")
+        assert f"bad rational {token!r}" in str(e.value)
+        assert e.value.line == 2
+
+    def test_signed_rational_tokens_parse(self):
+        g = parse_group_file("group g ambient 3\ngen [+3/4, -2, 007] inv {}\n")["g"]
+        assert g.generators[0][0] == (F(3, 4), F(-2), F(7))
+
+
 class TestFormat:
     def test_prime_sets(self):
         assert format_prime_set(ALL) == "ALL"

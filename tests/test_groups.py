@@ -74,6 +74,46 @@ class TestMember:
         with pytest.raises(ValueError):
             member(G1(), (1, 0, 0))
 
+    def test_zero_group_holds_only_zero(self):
+        g = zero_group(2)
+        assert member(g, (0, 0))
+        assert not member(g, (F(1, 7), 0))
+
+    def test_all_only_group_is_its_line(self):
+        g = group_rep(3, [((1, 2, 0), "ALL")])
+        assert member(g, (F(3, 7), F(6, 7), 0))
+        assert not member(g, (1, 0, 0))
+
+    def test_divisible_directions_spanning_the_group(self):
+        # W_2 is the whole span, so only 2-power denominators are allowed
+        g = group_rep(3, [((1, 0, 0), (2,)), ((0, 1, 1), (2, 3)), ((1, 1, 1), ())])
+        assert member(g, (F(1, 1024), F(3, 8), F(3, 8)))
+        assert member(g, (0, F(1, 3), F(1, 3)))
+        assert not member(g, (F(1, 3), 0, 0))
+        assert not member(g, (0, 1, 0))
+
+    def test_denominators_above_ten_to_the_eighteen(self):
+        big = 3**40 * 5**30
+        assert big > 10**18
+        assert member(G3(), (F(1, 2) + F(1, 3**40), F(1, 2) + F(7, 5**30)))
+        assert not member(G3(), (F(1, big), F(1, big)))
+        assert not member(G3(), (F(1, 3**40 * 7), 0))
+        assert member(G3(), (F(2, 3**40), F(1, 5**30)))
+
+    def test_fresh_groups_never_factor(self, monkeypatch):
+        samples = [generate(p, s) for p in ("cd", "mixed", "acd", "butler") for s in range(5)]
+
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr("torsionfree.numutil.factorize", refuse)
+        for sample in samples:
+            for h in (sample.group, sample.base):
+                g = group_rep(h.ambient_dim, h.generators)
+                for v, _s in g.generators:
+                    for p in (1, 2, 3, 7):
+                        member(g, vscale(F(1, p), v))
+
     @given(group_reps())
     @settings(max_examples=80)
     def test_generators_are_members(self, g):
@@ -242,6 +282,23 @@ class TestElementType:
         v, _ = g.generators[0]
         t = element_type(g, v)
         assert t.contains(F(1, p)) == member(g, vscale(F(1, p), v))
+
+
+    @given(
+        nonzero_group_reps(ambient=3),
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+        st.sampled_from([1, 7, 49]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_heights_match_probing(self, g, coeffs, scale):
+        a = vec((0, 0, 0))
+        for c, (v, _s) in zip(coeffs, g.generators):
+            a = tuple(x + scale * c * y for x, y in zip(a, v))
+        t = element_type(g, a)
+        for p in (2, 3, 5, 7):
+            for k in range(1, 9):
+                probe = vscale(F(1, p**k), a)
+                assert t.contains(F(1, p**k)) == member(g, probe)
 
 
 class TestIndexAndQuotient:

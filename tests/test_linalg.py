@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from strategies import integer_matrices, small_fractions, vectors
 from torsionfree.linalg import (
+    CoordinateMap,
     RationalLattice,
     Subspace,
     det,
     hermite_basis,
     hermite_normal_form,
     identity_matrix,
+    integer_form,
     integer_kernel,
     mat,
     mat_inverse,
@@ -294,3 +296,35 @@ class TestMatrixBasics:
     def test_det(self):
         assert det(mat([[2, 1], [1, 1]])) == 1
         assert det(mat([[1, 2], [2, 4]])) == 0
+
+
+class TestCoordinateMap:
+    @given(
+        st.lists(vectors(3), max_size=2),
+        st.lists(vectors(3), max_size=3),
+        vectors(3),
+        st.lists(small_fractions(), min_size=5, max_size=5),
+    )
+    @settings(max_examples=100)
+    def test_matches_reduce_then_coordinates(self, ws, gens, outside, coeffs):
+        space = Subspace.span([vec(v) for v in ws], 3)
+        lattice = RationalLattice.from_generators(
+            [space.reduce(vec(v)) for v in gens], 3
+        )
+        cmap = CoordinateMap.build(space, lattice)
+        inside = vec(
+            [sum(c * v[j] for c, v in zip(coeffs, ws + gens)) for j in range(3)]
+        )
+        for x in (inside, vec(outside)):
+            y, d = integer_form(x)
+            assert vec(Fraction(e, d) for e in y) == x
+            coords = lattice.coordinates(space.reduce(x))
+            assert cmap.in_span(y) == (coords is not None)
+            if coords is not None:
+                u = d * cmap.scale
+                assert tuple(Fraction(t, u) for t in cmap.numerators(y)) == coords
+        assert cmap.in_span(integer_form(inside)[0])
+
+    def test_integer_form_of_mixed_entries(self):
+        assert integer_form((Fraction(1, 6), 2, "3/4")) == ((2, 24, 9), 12)
+        assert integer_form((0, 0)) == ((0, 0), 1)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import SMALL_PRIMES, group_reps
+from strategies import SMALL_PRIMES, group_reps, prime_sets, vectors
 from torsionfree.groups import compare, group_rep, member, purify, Compare
 from torsionfree.linalg import Subspace, vec, vscale
 from torsionfree.oracle import (
@@ -59,6 +59,19 @@ def bounded_queries(draw):
     return F(num, den)
 
 
+@st.composite
+def rank_two_in_three(draw):
+    """Groups in Q^3 whose generators lie in the plane of two random vectors."""
+    a = draw(vectors(3))
+    b = draw(vectors(3))
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        c, d = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        v = tuple(c * x + d * y for x, y in zip(a, b))
+        gens.append((v, draw(prime_sets())))
+    return group_rep(3, gens)
+
+
 class TestAgreement:
     @given(
         group_reps(ambient=2, max_gens=3),
@@ -67,6 +80,37 @@ class TestAgreement:
     @settings(max_examples=150, deadline=None)
     def test_member_agreement(self, g, x):
         assert member(g, x) == brute_force_member(g, x, sufficient_exponent(g, x))
+
+    @given(rank_two_in_three(), st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+           st.sampled_from([1, 2, 3, 4, 5, 7, 9]), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_member_agreement_in_a_plane_of_three_space(self, g, coeffs, den, off):
+        x = [F(0)] * 3
+        for c, (v, _s) in zip(coeffs, g.generators):
+            x = [a + F(c, den) * b for a, b in zip(x, v)]
+        if off:
+            # leave the plane: the residual of the coordinate map is nonzero
+            x[coeffs[0] % 3] += F(1, den)
+        x = tuple(x)
+        assert member(g, x) == brute_force_member(g, x, sufficient_exponent(g, x))
+
+    @given(
+        group_reps(ambient=2, max_gens=3),
+        st.tuples(bounded_queries(), bounded_queries()),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_oracle_answer_is_stable_past_the_bound(self, g, x):
+        bound = sufficient_exponent(g, x)
+        assert brute_force_member(g, x, bound) == brute_force_member(g, x, bound + 8)
+
+    def test_bound_covers_the_all_reduction_determinant(self):
+        # W_ALL = Q*(1, -1) reduces (1/3, -3) to (0, -8/3), so x = (0, 1/16)
+        # needs the coefficient -3/128 of that row: exponent 7 at the prime 2
+        g = group_rep(2, [((F(1, 3), F(-1, 3)), "ALL"), ((F(1, 3), -3), (2,))])
+        x = (0, F(1, 16))
+        assert member(g, x)
+        assert not brute_force_member(g, x, 6)
+        assert brute_force_member(g, x, sufficient_exponent(g, x))
 
     @given(group_reps(ambient=3, max_gens=3), st.integers(0, 2))
     @settings(max_examples=60, deadline=None)
