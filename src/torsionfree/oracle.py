@@ -15,16 +15,31 @@ at a time: the coordinate rows are triangulated over Z/p^k with
 minimal-valuation pivoting, and the candidate reduces greedily against the
 pivots.  A power of p past the coordinate denominators bounds the index of
 the coordinate lattice, so solvability at that finite level is membership.
+
+What depends on the group alone (the reduced rows, their independent
+subset and coordinates, which serve every level after rescaling, and the
+x-free terms of sufficient_exponent) is derived once and cached on the group
+object, so repeated queries on one group each cost one substitution, a
+rescaling and the modular test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .groups import GroupRep
-from .linalg import Subspace, Vec, det, is_zero_vec, solve_in_rows, vec, vscale
+from .linalg import (
+    Subspace,
+    Vec,
+    det,
+    echelon_coordinates,
+    is_zero_vec,
+    rref,
+    vec,
+    vscale,
+)
 from .numutil import divisors, factorize, primes_dividing, valuation
 
 
@@ -56,19 +71,29 @@ def sufficient_exponent(g: GroupRep, x, extra: int = 2) -> int:
     x = vec(x)
     bound = max(1, _entry_bound(g, x))
     w = g.divisible_all_directions
+    reduced = w.reduce(x)
+    target = [e for e in (reduced[j] for j in g.reduced_hull.pivots) if e]
+    for p, offset, floor in _cached(g, "_oracle_prime_terms", _prime_terms):
+        need = max((-valuation(e, p) for e in target), default=0)
+        bound = max(bound, need + offset, floor)
+    return bound + extra
+
+
+def _prime_terms(g: GroupRep) -> list[tuple[int, int, int]]:
+    """(p, (r - 1) * content + mu, 2 * mu) per tagged prime: the x-free terms."""
+    w = g.divisible_all_directions
     rows = [w.reduce(v) for v, s in g.generators if not s.is_all]
     cols = g.reduced_hull.pivots  # the HNF of R: its pivots are span(R)'s
     r = len(cols)
     cut = [tuple(row[j] for j in cols) for row in rows]
     minors = [m for m in map(det, combinations(cut, r)) if m]
-    target = [e for e in (w.reduce(x)[j] for j in cols) if e]
     entries = [e for row in cut for e in row if e]
+    terms = []
     for p in g.tagged_primes:
         mu = max(abs(valuation(m, p)) for m in minors)
-        need = max((-valuation(e, p) for e in target), default=0)
         content = max([0] + [-valuation(e, p) for e in entries])
-        bound = max(bound, need + (r - 1) * content + mu, 2 * mu)
-    return bound + extra
+        terms.append((p, (r - 1) * content + mu, 2 * mu))
+    return terms
 
 
 def _entry_bound(g: GroupRep, x: Vec) -> int:
@@ -145,53 +170,124 @@ def _solvable_mod_prime_power(
     return not any(b)
 
 
-def _integer_span_contains(rows: list[Vec], target: Vec) -> bool:
-    """Whether target lies in the Z-span of rows (all rational vectors)."""
-    rows = [r for r in rows if not is_zero_vec(r)]
-    if is_zero_vec(target):
-        return True
-    if not rows:
-        return False
-    basis: list[Vec] = []
-    for r in rows:
-        if not basis or solve_in_rows(tuple(basis), r) is None:
-            basis.append(r)
-    c = solve_in_rows(tuple(basis), target)
-    if c is None:
-        return False
-    coord_rows = [solve_in_rows(tuple(basis), r) for r in rows]
-    den = 1
-    for row in coord_rows:
-        for e in row:
-            den = lcm(den, e.denominator)
-    for e in c:
-        den = lcm(den, e.denominator)
-    if den == 1:
-        # every coordinate integral, and the basis rows themselves supply Z^rank
-        return True
-    scaled = [[int(e * den) for e in row] for row in coord_rows]
-    y = [int(e * den) for e in c]
-    rank = len(basis)
-    for p, mult in factorize(den).items():
-        if not _solvable_mod_prime_power(scaled, y, p, rank * mult + 1):
+def _greedy_basis(rows: list[Vec]) -> list[int]:
+    """Indices of the nonzero rows outside the span of the rows kept before.
+
+    One running elimination: each kept row leaves an echelon row with a 1 at
+    its pivot, and a row lies in the span of the kept ones iff reducing it
+    against those echelon rows in order leaves zero.
+    """
+    basis: list[int] = []
+    echelon: list[tuple[list[Fraction], int]] = []
+    for i, r in enumerate(rows):
+        residue = list(r)
+        for row, piv in echelon:
+            c = residue[piv]
+            if c:
+                residue = [a - c * b for a, b in zip(residue, row)]
+        piv = next((j for j, a in enumerate(residue) if a), None)
+        if piv is not None:
+            inv = 1 / residue[piv]
+            echelon.append(([a * inv for a in residue], piv))
+            basis.append(i)
+    return basis
+
+
+class _Levels:
+    """Every level approximation of one group, from one elimination.
+
+    At level B the i-th finite-set row is r_i / D_i: r_i the generator
+    reduced modulo wspace (the span of the ALL generators; zero rows are
+    dropped) and D_i the product of p^B over its prime set.  Scaling rows by
+    nonzero numbers keeps the greedy independent subset, so one basis, by
+    row index, serves every level, and level-B coordinates are the unscaled
+    ones rescaled: a vector with coordinates u has u_j * D_(b_j), and row i
+    has c_ij * D_(b_j) / D_i.
+    """
+
+    def __init__(self, g: GroupRep):
+        self.wspace = Subspace.span(
+            [v for v, s in g.generators if s.is_all], g.ambient_dim
+        )
+        rows: list[Vec] = []
+        self.prime_sets = []
+        for v, s in g.generators:
+            if not s.is_all:
+                r = self.wspace.reduce(v)
+                if not is_zero_vec(r):
+                    rows.append(r)
+                    self.prime_sets.append(s)
+        self.basis = _greedy_basis(rows)
+        self._echelon = rref(tuple(rows[i] for i in self.basis)) if self.basis else None
+        self._unscaled_rows = [self._unscaled(r) for r in rows]
+
+    def _unscaled(self, x: Vec) -> Vec | None:
+        """Coordinates of x in the unscaled basis rows, or None off their span."""
+        if self._echelon is None:
+            return () if is_zero_vec(x) else None
+        reduced, transform, pivots = self._echelon
+        u = echelon_coordinates(reduced, pivots, x)
+        if u is None:
+            return None
+        return tuple(
+            sum((ui * t[j] for ui, t in zip(u, transform) if ui), Fraction(0))
+            for j in range(len(self.basis))
+        )
+
+    def _scales(self, exponent_bound: int) -> list[int]:
+        return [prod(p**exponent_bound for p in s) for s in self.prime_sets]
+
+    def coordinates(self, x: Vec, exponent_bound: int) -> Vec | None:
+        """Coordinates of x (reduced modulo wspace) in the level's basis."""
+        u = self._unscaled(x)
+        if u is None:
+            return None
+        d = self._scales(exponent_bound)
+        return tuple(uj * d[b] for uj, b in zip(u, self.basis))
+
+    def row_coordinates(self, exponent_bound: int) -> list[Vec]:
+        """Coordinates of the level's rows in the level's basis."""
+        d = self._scales(exponent_bound)
+        return [
+            tuple(c * Fraction(d[b], di) for c, b in zip(row, self.basis))
+            for row, di in zip(self._unscaled_rows, d)
+        ]
+
+    def contains(self, target: Vec, exponent_bound: int) -> bool:
+        """Whether target (reduced modulo wspace) lies in the level's Z-span."""
+        if is_zero_vec(target):
+            return True
+        if not self.basis:
             return False
-    return True
+        c = self.coordinates(target, exponent_bound)
+        if c is None:
+            return False
+        coord_rows = self.row_coordinates(exponent_bound)
+        den = lcm(*(e.denominator for row in coord_rows for e in row), *(e.denominator for e in c))
+        if den == 1:
+            # every coordinate integral, and the basis rows themselves supply Z^rank
+            return True
+        scaled = [[_times(e, den) for e in row] for row in coord_rows]
+        y = [_times(e, den) for e in c]
+        rank = len(self.basis)
+        for p, mult in factorize(den).items():
+            if not _solvable_mod_prime_power(scaled, y, p, rank * mult + 1):
+                return False
+        return True
 
 
-def _level_rows(g: GroupRep, exponent_bound: int):
-    """Scaled finite-set generators and the span of the ALL generators."""
-    wspace = Subspace.span(
-        [v for v, s in g.generators if s.is_all], g.ambient_dim
-    )
-    rows = []
-    for v, s in g.generators:
-        if s.is_all:
-            continue
-        d = 1
-        for p in s:
-            d *= p**exponent_bound
-        rows.append(wspace.reduce(vscale(Fraction(1, d), v)))
-    return rows, wspace
+def _times(e: Fraction, den: int) -> int:
+    """e * den for a multiple den of e's denominator."""
+    return e.numerator * (den // e.denominator)
+
+
+def _cached(g: GroupRep, name: str, build):
+    """build(g), made on first use and cached on g like g's own derived data."""
+    value = getattr(g, name, None)
+    if value is None:
+        value = build(g)
+        object.__setattr__(g, name, value)
+    return value
 
 
 def brute_force_member(g: GroupRep, x, exponent_bound: int = 4) -> bool:
@@ -201,8 +297,8 @@ def brute_force_member(g: GroupRep, x, exponent_bound: int = 4) -> bool:
         raise ValueError("vector length mismatch")
     if is_zero_vec(x):
         return True
-    rows, wspace = _level_rows(g, exponent_bound)
-    return _integer_span_contains(rows, wspace.reduce(x))
+    levels = _cached(g, "_oracle_levels", _Levels)
+    return levels.contains(levels.wspace.reduce(x), exponent_bound)
 
 
 def _primitive_direction(u) -> Vec:
@@ -229,8 +325,8 @@ def brute_force_purify(g: GroupRep, u, exponent_bound: int = 4) -> tuple[Vec, ..
     that could divide the generator's denominator.
     """
     d0 = _primitive_direction(u)
-    rows, wspace = _level_rows(g, exponent_bound)
-    reduced = wspace.reduce(d0)
+    levels = _cached(g, "_oracle_levels", _Levels)
+    reduced = levels.wspace.reduce(d0)
 
     if is_zero_vec(reduced):
         # the line sits inside the fully divisible directions
@@ -238,23 +334,11 @@ def brute_force_purify(g: GroupRep, u, exponent_bound: int = 4) -> tuple[Vec, ..
             raise RuntimeError("divisible direction escaped the group (oracle)")
         return (d0,)
 
-    basis: list[Vec] = []
-    for r in rows:
-        if not is_zero_vec(r) and (
-            not basis or solve_in_rows(tuple(basis), r) is None
-        ):
-            basis.append(r)
-    c = solve_in_rows(tuple(basis), reduced) if basis else None
+    c = levels.coordinates(reduced, exponent_bound)
     if c is None:
         return ()
-
-    denominators = 1
-    for row in rows:
-        coords = solve_in_rows(tuple(basis), row)
-        for e in coords:
-            denominators = lcm(denominators, e.denominator)
-    for e in c:
-        denominators = lcm(denominators, e.denominator)
+    rows = levels.row_coordinates(exponent_bound)
+    denominators = lcm(*(e.denominator for row in rows for e in row), *(e.denominator for e in c))
 
     m0 = None
     for m in divisors(denominators):

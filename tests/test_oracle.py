@@ -1,13 +1,16 @@
 import itertools
 from fractions import Fraction as F
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import SMALL_PRIMES, group_reps, prime_sets, vectors
 from torsionfree.groups import compare, group_rep, member, purify, Compare
-from torsionfree.linalg import Subspace, vec, vscale
+from torsionfree.linalg import Subspace, solve_in_rows, vec, vscale
 from torsionfree.oracle import (
+    _greedy_basis,
+    _Levels,
     _solvable_mod_prime_power,
     brute_force_member,
     brute_force_purify,
@@ -215,3 +218,28 @@ class TestBruteForcePurify:
         assert compare(
             r, group_rep(2, [((1, 0), (2,))])
         ) is Compare.EQUAL
+
+
+class TestLevelData:
+    @given(
+        st.lists(st.tuples(vectors(3), st.sampled_from([(), (2,), (3, 5)])), min_size=1, max_size=5),
+        vectors(3),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rescaled_coordinates_match_solve_in_rows_at_the_level(self, gens, x, bound):
+        g = group_rep(3, gens)
+        rows = [
+            vscale(F(1, prod(p**bound for p in s)), v) for v, s in g.generators
+        ]
+        rows = [r for r in rows if any(r)]
+        basis = []
+        for r in rows:
+            if not basis or solve_in_rows(tuple(basis), r) is None:
+                basis.append(r)
+        assert [rows[i] for i in _greedy_basis(rows)] == basis
+        levels = _Levels(g)
+        assert [rows[i] for i in levels.basis] == basis
+        expected = solve_in_rows(tuple(basis), vec(x)) if basis else (None if any(x) else ())
+        assert levels.coordinates(vec(x), bound) == expected
+        assert levels.row_coordinates(bound) == [solve_in_rows(tuple(basis), r) for r in rows]
