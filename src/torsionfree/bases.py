@@ -21,9 +21,7 @@ from .groups import (
     SpanMismatch,
     compare,
     member,
-    purify,
-    sum_groups,
-    zero_group,
+    pure_sum,
 )
 from .linalg import Subspace, Vec, solve_in_rows, unit_vec, vec, vscale
 from .numutil import divisors
@@ -71,6 +69,16 @@ def basis_record(g: GroupRep, elements) -> BasisRecord:
     if not is_basis(g, elems):
         raise ValueError("the elements are not a basis of the group")
     return BasisRecord(g, elems)
+
+
+def require_basis(g: GroupRep, basis: BasisRecord) -> None:
+    """Raise ValueError unless the record is a basis of g.
+
+    basis_record and the searches only make records valid for their own
+    group, so only a record made for another group object is checked again.
+    """
+    if basis.group is not g and not is_basis(g, basis.elements):
+        raise ValueError("the elements are not a basis of the group")
 
 
 def _order_mod_group(g: GroupRep, b: Vec) -> int:
@@ -126,8 +134,7 @@ def extend_basis(g: GroupRep, h: GroupRep, c: BasisRecord) -> BasisRecord:
     rel = compare(h, g)
     if rel not in (Compare.EQUAL, Compare.LEFT_IN_RIGHT):
         raise NotASubgroup("the basis group is not a subgroup")
-    if not is_basis(h, c.elements):
-        raise ValueError("the record is not a basis of the subgroup")
+    require_basis(h, c)
     space = Subspace.span(list(c.elements), g.ambient_dim)
     new: list[Vec] = []
     candidates = [unit_vec(g.ambient_dim, i) for i in range(g.ambient_dim)]
@@ -154,8 +161,7 @@ def pure_hull_sum(g: GroupRep, basis: BasisRecord):
     """
     from .decomp import decomposition_record
 
-    summands = tuple(
-        purify(g, Subspace.span([b], g.ambient_dim)) for b in basis.elements
+    summands, total = pure_sum(
+        g, (Subspace.span([b], g.ambient_dim) for b in basis.elements)
     )
-    total = sum_groups(*summands) if summands else zero_group(g.ambient_dim)
     return decomposition_record(total, summands)

@@ -28,13 +28,13 @@ from .decomp import (
 from .fileformat import ParseError, format_group, parse_group_file
 from .groups import (
     Compare,
-    GroupError,
     GroupRep,
     compare,
     element_type,
     group_rep,
     index_and_quotient,
     member,
+    pure_sum,
     purify,
     subgroup_leq,
 )
@@ -44,7 +44,6 @@ from .indec import (
     typeset_obstruction_certificate,
 )
 from .jonsson import (
-    InfiniteIndexError,
     NoJonssonBasisFound,
     jonsson_basis_from_summands,
     lift_quotient_decomposition,
@@ -122,10 +121,6 @@ def _index_blocks(text: str, size: int):
     return tuple(blocks)
 
 
-def _matrix(text: str):
-    return tuple(_vector(row) for row in text.split(";") if row.strip())
-
-
 def _int_rows(text: str):
     if text.strip() in ("-", ""):
         return ()
@@ -198,10 +193,6 @@ def _quotient_str(q) -> str:
     if not q.invariant_factors:
         return "trivial"
     return " x ".join(f"Z/{d}" for d in q.invariant_factors)
-
-
-def _ints_str(t) -> str:
-    return "(%s)" % ", ".join(str(x) for x in t)
 
 
 def _j_vec(v):
@@ -301,7 +292,7 @@ def _cmd_brep(args):
     _name, g = _pick(_load_groups(args.file), args.name, args.file)
     basis = basis_record(g, _vectors(args.basis))
     rep = b_representation(g, basis, _vector(args.vector))
-    lines = [f"k: {rep.k}", f"coefficients: {_ints_str(rep.coefficients)}"]
+    lines = [f"k: {rep.k}", f"coefficients: {_vec_str(rep.coefficients)}"]
     return 0, lines, {"k": rep.k, "coefficients": list(rep.coefficients)}
 
 
@@ -354,9 +345,7 @@ def _cmd_decompose(args):
 
 
 def _decomposition_from_blocks(g: GroupRep, blocks):
-    summands = tuple(
-        purify(g, Subspace.span(list(block), g.ambient_dim)) for block in blocks
-    )
+    summands, _total = pure_sum(g, (Subspace.span(list(block), g.ambient_dim) for block in blocks))
     return decomposition_record(g, summands)
 
 
@@ -381,7 +370,7 @@ def _cmd_iso(args):
 
 def _cmd_aut_check(args):
     _name, g = _pick(_load_groups(args.file), args.name, args.file)
-    m = _matrix(args.matrix)
+    m = _vectors(args.matrix)
     if args.quasi:
         got = quasi_automorphism_check(g, m)
         if got is None:
@@ -437,7 +426,7 @@ def _jonsson_lines(basis):
     lines.append(f"index: {q.order}")
     lines.append(f"quotient: {_quotient_str(q)}")
     lines.append(
-        "generator images: " + "; ".join(_ints_str(t) for t in q.generator_images)
+        "generator images: " + "; ".join(_vec_str(t) for t in q.generator_images)
     )
     return lines
 
@@ -513,7 +502,7 @@ def _cmd_quotient(args):
         _quotient_str(q),
         f"order: {q.order}",
         f"exponent: {q.exponent}",
-        "generator images: " + "; ".join(_ints_str(t) for t in q.generator_images),
+        "generator images: " + "; ".join(_vec_str(t) for t in q.generator_images),
     ]
     return 0, lines, {"quotient": _j_description(d)}
 
@@ -817,10 +806,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code, lines, payload = args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ParseError, GroupError, InfiniteIndexError, ValueError) as e:
+    except (CliError, ValueError) as e:
+        # ParseError, GroupError and InfiniteIndexError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (RuntimeError, AssertionError) as e:

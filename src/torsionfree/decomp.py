@@ -2,9 +2,10 @@
 
 A partition of a basis splits the group when the purified block spans sum
 back to the whole group; a complete decomposition is a maximal such
-refinement.  Searches are bounded and deterministic: set partitions are
-walked in restricted-growth-string order and candidate bases in
-lexicographic coefficient order.  An empty search result is never a proof
+refinement.  The verdict depends only on the spans of the blocks.  Searches
+are bounded and deterministic: set partitions are walked in
+restricted-growth-string order and candidate bases in lexicographic
+coefficient order.  An empty search result is never a proof
 of indecomposability.
 """
 
@@ -14,8 +15,9 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .bases import BasisRecord, is_basis
+from .bases import BasisRecord, require_basis
 from .groups import (
     Compare,
     GroupError,
@@ -23,10 +25,8 @@ from .groups import (
     compare,
     element_type,
     group_rep,
-    purify,
+    pure_sum,
     subgroup_leq,
-    sum_groups,
-    zero_group,
 )
 from .linalg import (
     Mat,
@@ -60,6 +60,13 @@ class IsoVerdict(enum.Enum):
 class PartitionRecord:
     basis: BasisRecord
     blocks: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def spans(self) -> tuple[Subspace, ...]:
+        """The span of each block's basis elements, in block order."""
+        elems = self.basis.elements
+        dim = self.basis.group.ambient_dim
+        return tuple(Subspace.span([elems[i] for i in block], dim) for block in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -133,14 +140,8 @@ def check_splitting_partition(g: GroupRep, partition: PartitionRecord):
     g embeds in it; otherwise the quotient of g by the sum is nonzero
     torsion and the partition does not split.
     """
-    elems = partition.basis.elements
-    if not is_basis(g, elems):
-        raise ValueError("the partition's basis is not a basis of the group")
-    summands = tuple(
-        purify(g, Subspace.span([elems[i] for i in block], g.ambient_dim))
-        for block in partition.blocks
-    )
-    total = sum_groups(*summands) if summands else zero_group(g.ambient_dim)
+    require_basis(g, partition.basis)
+    summands, total = pure_sum(g, partition.spans)
     if subgroup_leq(g, total):
         return True, decomposition_record(g, summands)
     return False, None

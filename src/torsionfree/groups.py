@@ -36,7 +36,6 @@ from .linalg import (
     Subspace,
     Vec,
     apply_matrix,
-    det,
     hermite_basis,
     integer_form,
     is_zero_vec,
@@ -48,7 +47,7 @@ from .linalg import (
     vscale,
     zero_vec,
 )
-from .numutil import mod_p, next_prime, primes_dividing, valuation, xgcd
+from .numutil import mod_p, next_prime, primes_dividing, valuation
 from .rank1 import ALL, NO_PRIMES, DivisibilityType, PrimeSet, div_type, prime_set
 
 Generator = tuple[Vec, PrimeSet]
@@ -382,21 +381,18 @@ def _tidy(gens: list[Generator], ambient: int) -> list[Generator]:
 
 
 def _lattice_index(outer: RationalLattice, inner: RationalLattice) -> Fraction:
-    """|det| of the coordinate matrix of inner's basis in outer's basis."""
-    rows = []
-    for r in inner.rows:
-        c = outer.coordinates(r)
-        if c is None:
-            raise ValueError("inner lattice is not inside the outer span")
-        rows.append(c)
-    d = det(tuple(rows))
-    if d == 0:
-        raise ValueError("inner lattice has smaller rank")
-    return abs(d)
+    """[outer : inner] for lattices of one span: Hermite bases of one span
+    share pivot columns, so the index is the ratio of the pivot products."""
+    if outer.pivots != inner.pivots:
+        raise ValueError("the lattices do not span the same subspace")
+    index = Fraction(1)
+    for r_in, r_out, j in zip(inner.rows, outer.rows, outer.pivots):
+        index *= r_in[j] / r_out[j]
+    return abs(index)
 
 
 def _all_pattern_gap_primes(g: GroupRep, u: Subspace, seed: RationalLattice):
-    """Saturation primes that can be missed by the active set.
+    """The untagged primes at which the seed can fall short of U ∩ G.
 
     At a prime q with no divisibility in G the localization is
     W_ALL + Z_(q)*L, so the pure subgroup exceeds the seed at q only when q
@@ -443,6 +439,13 @@ def purify(g: GroupRep, subspace: Subspace) -> GroupRep:
     return hull
 
 
+def pure_sum(g: GroupRep, spaces) -> tuple[tuple[GroupRep, ...], GroupRep]:
+    """The pure hulls of the subspaces in g and their sum (zero for none)."""
+    hulls = tuple(purify(g, space) for space in spaces)
+    total = sum_groups(*hulls) if hulls else zero_group(g.ambient_dim)
+    return hulls, total
+
+
 def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
     u = subspace.intersect(g.span)
     if u.dim == 0:
@@ -461,7 +464,8 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
         inner = g.lattice_hull.intersect_subspace(v_all)
         gens.extend((row, ALL) for row in inner.rows)
 
-    primes = sorted(set(g.active_primes) | set(_all_pattern_gap_primes(g, u, seed)))
+    # at an untagged prime with W_ALL = 0 the seed is already pure
+    primes = sorted(set(g.tagged_primes) | set(_all_pattern_gap_primes(g, u, seed)))
 
     current = group_rep(g.ambient_dim, _tidy(gens, g.ambient_dim))
     for _round in range(256):
@@ -613,8 +617,8 @@ class FiniteQuotient:
                 if desc < len(exps):
                     pe = p ** exps[desc][0]
                     r = per_prime[p][desc]
-                    _g, s, _t = xgcd(modulus, pe)
-                    residue = (residue + modulus * s * (r - residue)) % (modulus * pe)
+                    inverse = pow(modulus, -1, pe)
+                    residue = (residue + modulus * inverse * (r - residue)) % (modulus * pe)
                     modulus *= pe
             out.append(residue % self.invariant_factors[j])
         return tuple(out)
@@ -681,7 +685,9 @@ def _direction_witness(g: GroupRep, wg: Subspace, wa: Subspace) -> Vec:
 
 
 def _finite_quotient_parts(g: GroupRep, a: GroupRep):
-    relevant = set(g.active_primes) | set(a.active_primes)
+    # at a prime q tagged in neither group, G/A has a q-part only if q
+    # divides the index of the reduced hulls
+    relevant = set(g.tagged_primes) | set(a.tagged_primes)
     # index_and_quotient has checked that A and G share W_ALL, so A's reduced
     # hull is taken modulo the same directions as G's.
     l_g, l_a = g.reduced_hull, a.reduced_hull

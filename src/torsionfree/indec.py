@@ -9,6 +9,9 @@ prime sets of elements to {S_A, S_B, S_A intersect S_B}, and no three
 pairwise-incomparable sets fit in such a family.  Certificates and witnesses
 can therefore never coexist.  A search that ends empty-handed proves
 nothing beyond its own scope.
+
+Split and quasi-split verdicts depend only on the spans of the blocks, so
+the witness search checks each set of block spans once.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .bases import BasisRecord, is_basis, pure_hull_sum
+from .bases import BasisRecord, pure_hull_sum, require_basis
 from .decomp import (
     DecompositionRecord,
     PartitionRecord,
@@ -63,8 +66,7 @@ def property_si_check(g: GroupRep, basis: BasisRecord) -> SIReport:
     The verdict is about this basis only; SI can hold for one basis of g and
     fail for another.
     """
-    if not is_basis(g, basis.elements):
-        raise ValueError("not a basis of the group")
+    require_basis(g, basis)
     if g.rank > _RANK_LIMIT:
         raise GroupError("rank exceeds the partition search limit")
     hull = pure_hull_sum(g, basis)
@@ -105,16 +107,16 @@ def strong_decomposability_witness_search(g: GroupRep, height_bound: int) -> Wit
     if g.rank > _RANK_LIMIT:
         raise GroupError("rank exceeds the partition search limit")
     searched = 0
-    seen_blockings = set()
+    seen_spans = set()
     two_block = _two_block_blockings(g.rank)
     for basis in _generated_bases(g, height_bound):
         searched += 1
         for blocks in two_block:
-            blocks_key = frozenset(frozenset(basis.elements[i] for i in block) for block in blocks)
-            if blocks_key in seen_blockings:
-                continue
-            seen_blockings.add(blocks_key)
             partition = PartitionRecord(basis, blocks)
+            key = frozenset(partition.spans)
+            if key in seen_spans:
+                continue
+            seen_spans.add(key)
             report = quasi_split_check(g, basis, partition)
             if report.kind is not SplitKind.NONE:
                 return WitnessSearchResult(

@@ -18,7 +18,6 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .bases import BasisRecord
 from .decomp import apply_span_matrix, automorphism_check, candidate_vectors, set_partitions, span_matrix_image
 from .groups import (
     FiniteQuotient,
@@ -28,6 +27,7 @@ from .groups import (
     Compare,
     element_type,
     index_and_quotient,
+    pure_sum,
     purify,
     subgroup_leq,
     sum_groups,
@@ -103,8 +103,7 @@ def jonsson_basis_from_summands(g: GroupRep, candidates) -> JonssonBasis:
         raise GroupError("candidate spans overlap")
     if span.dim != g.rank:
         raise GroupError("candidate spans do not cover the group")
-    summands = tuple(purify(g, c.span) for c in candidates)
-    total = sum_groups(*summands)
+    summands, total = pure_sum(g, (c.span for c in candidates))
     description = index_and_quotient(g, total)
     if not description.is_finite:
         raise InfiniteIndexError(description.prime, description.direction)
@@ -112,11 +111,10 @@ def jonsson_basis_from_summands(g: GroupRep, candidates) -> JonssonBasis:
     return JonssonBasis(g, flagged, description.quotient)
 
 
-def _block_hull(a: JonssonBasis, block) -> GroupRep:
-    rows: list[Vec] = []
-    for i in block:
-        rows.extend(a.summand_groups[i].span.rows)
-    return purify(a.group, Subspace.span(rows, a.group.ambient_dim))
+def _block_span(a: JonssonBasis, block) -> Subspace:
+    """The span of the summands in the block."""
+    rows = [row for i in block for row in a.summand_groups[i].span.rows]
+    return Subspace.span(rows, a.group.ambient_dim)
 
 
 def _groupings(t: int, max_blocks: int):
@@ -129,8 +127,8 @@ def splitting_decompositions_of(a: JonssonBasis, max_blocks: int):
     g = a.group
     out = []
     for blocks in _groupings(len(a.summands), max_blocks):
-        hulls = tuple(_block_hull(a, block) for block in blocks)
-        if subgroup_leq(g, sum_groups(*hulls)):
+        hulls, total = pure_sum(g, (_block_span(a, block) for block in blocks))
+        if subgroup_leq(g, total):
             out.append((blocks, hulls))
     return out
 
@@ -191,9 +189,8 @@ def lift_quotient_decomposition(g: GroupRep, a: JonssonBasis, u_generators, w_ge
     searched = 0
     for blocks in _groupings(len(a.summands), 2):
         searched += 1
-        b_hull = _block_hull(a, blocks[0])
-        c_hull = _block_hull(a, blocks[1])
-        if not subgroup_leq(g, sum_groups(b_hull, c_hull)):
+        (b_hull, c_hull), total = pure_sum(a.group, (_block_span(a, block) for block in blocks))
+        if not subgroup_leq(g, total):
             continue
         if _image_subgroup(a, b_hull) == u and _image_subgroup(a, c_hull) == w:
             images = tuple(
@@ -321,30 +318,26 @@ def unrefinable_quotient_decompositions(g: GroupRep, a: JonssonBasis):
         for which, block in enumerate(state):
             if len(block) < 2:
                 continue
-            hull = _block_hull(a, block)
-            for size in range(1, len(block) // 2 + 1):
-                for left in itertools.combinations(block, size):
-                    right = tuple(i for i in block if i not in left)
-                    if len(left) == len(right) and left > right:
-                        continue
-                    left_hull = _block_hull(a, left)
-                    right_hull = _block_hull(a, right)
-                    if not subgroup_leq(hull, sum_groups(left_hull, right_hull)):
-                        continue
-                    refined = True
-                    nxt = tuple(
-                        sorted(
-                            (*(b for i, b in enumerate(state) if i != which), left, right)
-                        )
-                    )
-                    if nxt not in visited:
-                        visited.add(nxt)
-                        stack.append(nxt)
+            hull = purify(a.group, _block_span(a, block))
+            for halves in set_partitions(len(block), 2):
+                if len(halves) < 2:
+                    continue
+                left, right = (tuple(block[i] for i in half) for half in halves)
+                _hulls, total = pure_sum(a.group, (_block_span(a, left), _block_span(a, right)))
+                if not subgroup_leq(hull, total):
+                    continue
+                refined = True
+                nxt = tuple(
+                    sorted((*(b for i, b in enumerate(state) if i != which), left, right))
+                )
+                if nxt not in visited:
+                    visited.add(nxt)
+                    stack.append(nxt)
         if not refined:
             terminal[tuple(sorted(state))] = None
     out = []
     for blocks in sorted(terminal):
-        hulls = tuple(_block_hull(a, block) for block in blocks)
+        hulls, _total = pure_sum(a.group, (_block_span(a, block) for block in blocks))
         images = tuple(
             tuple(a.quotient.image(v) for v, _s in hull.generators) for hull in hulls
         )

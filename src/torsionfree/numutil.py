@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 _RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -60,15 +60,34 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: Miller-Rabin below _MR_LIMIT, trial division above."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for f in range(3, isqrt(n) + 1, 2):
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        return all(n % f for f in range(3, isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -103,18 +122,3 @@ def mod_p(q: Fraction | int, p: int) -> int:
     if q.denominator % p == 0:
         raise ValueError("%s is not p-integral at p=%d" % (q, p))
     return q.numerator * pow(q.denominator, -1, p) % p
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, s, t) with s*a + t*b == g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t

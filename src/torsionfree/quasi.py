@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .bases import BasisRecord, is_basis
+from .bases import BasisRecord, require_basis
 from .decomp import DecompositionRecord, PartitionRecord, apply_span_matrix, automorphism_check, decomposition_record
 from .groups import (
     Compare,
@@ -30,13 +30,12 @@ from .groups import (
     QuotientDescription,
     compare,
     index_and_quotient,
-    purify,
+    pure_sum,
     scale_group,
     subgroup_leq,
     sum_groups,
-    zero_group,
 )
-from .linalg import Mat, RationalLattice, Subspace, mat, mat_inverse
+from .linalg import Mat, RationalLattice, mat, mat_inverse
 from .numutil import divisors, next_prime, valuation
 from .linalg import smith_normal_form
 
@@ -212,13 +211,8 @@ def quasi_split_check(g: GroupRep, basis: BasisRecord, partition: PartitionRecor
     """
     if partition.basis != basis:
         raise ValueError("partition was built over a different basis")
-    if not is_basis(g, basis.elements):
-        raise ValueError("not a basis of the group")
-    summands = tuple(
-        purify(g, Subspace.span([basis.elements[i] for i in block], g.ambient_dim))
-        for block in partition.blocks
-    )
-    total = sum_groups(*summands) if summands else zero_group(g.ambient_dim)
+    require_basis(g, basis)
+    summands, total = pure_sum(g, partition.spans)
     quotient = index_and_quotient(g, total)
     if not quotient.is_finite:
         return SplitReport(SplitKind.NONE, summands, None, quotient)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from strategies import nonzero_group_reps
+from torsionfree import bases, decomp, indec, quasi
 from torsionfree.bases import (
     b_representation,
     basis_record,
@@ -12,6 +13,7 @@ from torsionfree.bases import (
     minimal_multiplier,
     pure_hull_sum,
 )
+from torsionfree.decomp import complete_decomposition_search
 from torsionfree.groups import (
     GroupError,
     NotASubgroup,
@@ -22,6 +24,7 @@ from torsionfree.groups import (
     member,
     subgroup_leq,
 )
+from torsionfree.indec import property_si_check, strong_decomposability_witness_search
 from torsionfree.linalg import solve_in_rows, vec, vscale
 
 
@@ -60,6 +63,23 @@ class TestIsBasis:
     def test_record_rejects_non_basis(self):
         with pytest.raises(ValueError):
             basis_record(Z2(), [(1, 0), (2, 0)])
+
+    def test_searches_do_not_revalidate_per_partition(self, monkeypatch):
+        calls = []
+
+        def counting(g, elements):
+            calls.append(tuple(elements))
+            return is_basis(g, elements)
+
+        for module in (bases, decomp, quasi, indec):
+            monkeypatch.setattr(module, "is_basis", counting, raising=False)
+        g = G2()
+        record = basis_record(g, [(1, 0), (0, 1)])
+        assert len(calls) == 1
+        assert not strong_decomposability_witness_search(g, 1).found
+        complete_decomposition_search(g, height_bound=1)
+        property_si_check(g, record)
+        assert len(calls) == 1
 
 
 class TestMinimalMultiplier:

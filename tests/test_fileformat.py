@@ -66,6 +66,10 @@ class TestParse:
             parse_group_file("group g ambient 1\ngen [1] inv {4}\n")
         assert "4" in str(e.value)
 
+    def test_large_prime_in_prime_set(self):
+        g = parse_group_file("group g ambient 1\ngen [1] inv {1000000000000000003}\n")["g"]
+        assert g.tagged_primes == (1000000000000000003,)
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as e:
             parse_group_file("group g ambient 1\ngen [x] inv {}\n")

@@ -24,6 +24,7 @@ from torsionfree.groups import (
     sum_groups,
     zero_group,
 )
+from torsionfree import numutil
 from torsionfree.linalg import Subspace, vec, vscale
 from torsionfree.numutil import primes_dividing, valuation
 from torsionfree.rank1 import format_type, parse_type
@@ -196,6 +197,25 @@ class TestPurify:
         r = purify(g, line(2, (1, 2)))
         assert member(r, (F(1, 2), 1))
         assert compare(r, group_rep(2, [((F(1, 2), 1), ())])) is Compare.EQUAL
+
+    def test_large_hull_entries_are_never_factored(self, monkeypatch):
+        # purify saturates only at tagged and gap primes, and the quotient
+        # looks at tagged and index primes, so the 31-digit denominator of
+        # the lattice hull is never factored
+        real = numutil.factorize
+
+        def small_only(n):
+            if n > 10**6:
+                raise AssertionError(f"factored {n}")
+            return real(n)
+
+        monkeypatch.setattr(numutil, "factorize", small_only)
+        big = 10**30 + 57
+        g = group_rep(2, [((F(1, big), 0), ()), ((0, 1), (2,))])
+        r = purify(g, line(2, (1, 1)))
+        assert compare(r, group_rep(2, [((1, 1), ())])) is Compare.EQUAL
+        a = group_rep(2, [((F(3, big), 0), ()), ((0, 1), (2,))])
+        assert index_and_quotient(g, a).quotient.invariant_factors == (3,)
 
     def test_repeated_subspace_returns_the_memoised_group(self):
         g = G3()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from strategies import group_reps
+from torsionfree import indec
 from torsionfree.bases import basis_record
 from torsionfree.corpus import generate
 from torsionfree.decomp import _generated_bases
@@ -14,7 +15,8 @@ from torsionfree.indec import (
     strong_decomposability_witness_search,
     typeset_obstruction_certificate,
 )
-from torsionfree.quasi import SplitKind
+from torsionfree.linalg import Subspace
+from torsionfree.quasi import SplitKind, quasi_split_check
 
 
 def G1():
@@ -118,6 +120,23 @@ class TestWitnessSearch:
         result = strong_decomposability_witness_search(Z2(), 1)
         assert result.found
         assert result.kind is SplitKind.EXACT
+
+    def test_each_set_of_block_spans_is_checked_once(self, monkeypatch):
+        # at height 1, G2 has bases {(1,0), (1,1)} and {(1,0), (2,2)}: the same
+        # block spans from different vectors, so the same verdict
+        checked = []
+
+        def spy(g, basis, partition):
+            checked.append(
+                frozenset(Subspace.span([basis.elements[i] for i in block], 2) for block in partition.blocks)
+            )
+            return quasi_split_check(g, basis, partition)
+
+        monkeypatch.setattr(indec, "quasi_split_check", spy)
+        result = strong_decomposability_witness_search(G2(), 1)
+        assert not result.found
+        assert result.bases_searched == 33
+        assert len(checked) == len(set(checked)) == 15
 
 
 class TestMutualExclusion:

@@ -1,0 +1,29 @@
+from torsionfree.numutil import is_prime
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if _trial_division(n)]
+
+
+def test_strong_pseudoprimes_to_the_first_primes_are_composite():
+    # strong pseudoprimes to the first 9 and the first 12 prime bases
+    assert 3825123056546413051 == 149491 * 747451 * 34233211
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+
+
+def test_large_primes():
+    assert is_prime(1000000000000000003)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(2**67 - 1)

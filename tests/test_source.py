@@ -1,0 +1,30 @@
+"""Static checks on the package source, with the standard library's ast."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "torsionfree"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports that the module never reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_detects_an_unused_import():
+    assert unused_imports("import os\nfrom math import gcd, lcm\nlcm(1, 2)\n") == ["os", "gcd"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
