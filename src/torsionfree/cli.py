@@ -166,13 +166,14 @@ def _load_groups(path: str) -> dict[str, GroupRep]:
     return groups
 
 
-def _pick(groups: dict[str, GroupRep], name: str | None, path: str):
+def _group(path: str, name: str | None) -> GroupRep:
+    """The named group of the file, or its first group when name is None."""
+    groups = _load_groups(path)
     if name is None:
-        first = next(iter(groups))
-        return first, groups[first]
+        return next(iter(groups.values()))
     if name not in groups:
         raise CliError(f"{path}: no group named {name!r}")
-    return name, groups[name]
+    return groups[name]
 
 
 # -- output formatting ----------------------------------------------------------
@@ -228,7 +229,7 @@ def _j_description(d):
 
 
 def _cmd_member(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     x = _vector(args.vector)
     res = member(g, x)
     lines = [f"member: {str(res).lower()}"]
@@ -247,13 +248,13 @@ def _cmd_member(args):
 
 
 def _cmd_type(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     t = element_type(g, _vector(args.vector))
     return 0, [f"type: {format_type(t)}"], {"type": format_type(t)}
 
 
 def _cmd_purify(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     rows = _vectors(args.vectors)
     space = Subspace.span(list(rows), g.ambient_dim)
     p = purify(g, space)
@@ -277,19 +278,19 @@ def _cmd_purify(args):
 
 
 def _cmd_basis_check(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     ok = is_basis(g, _vectors(args.basis))
     return 0, [f"basis: {str(ok).lower()}"], {"basis": ok}
 
 
 def _cmd_minmul(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     m = minimal_multiplier(g, _vectors(args.basis))
     return 0, [f"minimal multiplier: {m}"], {"minimal_multiplier": m}
 
 
 def _cmd_brep(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     basis = basis_record(g, _vectors(args.basis))
     rep = b_representation(g, basis, _vector(args.vector))
     lines = [f"k: {rep.k}", f"coefficients: {_vec_str(rep.coefficients)}"]
@@ -297,7 +298,7 @@ def _cmd_brep(args):
 
 
 def _cmd_split(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     elements = _vectors(args.basis)
     basis = basis_record(g, elements)
     partition = partition_record(basis, _index_blocks(args.partition, len(elements)))
@@ -321,7 +322,7 @@ def _cmd_split(args):
 
 
 def _cmd_decompose(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     found = complete_decomposition_search(
         g, height_bound=args.height, max_blocks=args.max_blocks
     )
@@ -350,7 +351,7 @@ def _decomposition_from_blocks(g: GroupRep, blocks):
 
 
 def _cmd_iso(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     d1 = _decomposition_from_blocks(g, _vector_blocks(args.first))
     d2 = _decomposition_from_blocks(g, _vector_blocks(args.second))
     answer = decompositions_isomorphic(d1, d2)
@@ -369,7 +370,7 @@ def _cmd_iso(args):
 
 
 def _cmd_aut_check(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     m = _vectors(args.matrix)
     if args.quasi:
         got = quasi_automorphism_check(g, m)
@@ -392,8 +393,8 @@ def _cmd_aut_check(args):
 
 
 def _cmd_quasi_eq(args):
-    _name1, h = _pick(_load_groups(args.file), args.name, args.file)
-    _name2, g = _pick(_load_groups(args.other), args.other_name, args.other)
+    h = _group(args.file, args.name)
+    g = _group(args.other, args.other_name)
     w = quasi_equal_strict(h, g)
     if w is None:
         return 0, ["strict: absent"], {"strict": None}
@@ -401,8 +402,8 @@ def _cmd_quasi_eq(args):
 
 
 def _cmd_commensurable(args):
-    _name1, h = _pick(_load_groups(args.file), args.name, args.file)
-    _name2, g = _pick(_load_groups(args.other), args.other_name, args.other)
+    h = _group(args.file, args.name)
+    g = _group(args.other, args.other_name)
     w = commensurable(h, g)
     if w is None:
         return 0, ["commensurable: absent"], {"commensurable": None}
@@ -442,13 +443,13 @@ def _j_jonsson(basis):
 
 
 def _cmd_jonsson(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     basis = jonsson_basis_from_summands(g, _candidate_summands(g, args.summands))
     return 0, _jonsson_lines(basis), {"jonsson": _j_jonsson(basis)}
 
 
 def _cmd_regulating(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     try:
         best, index = regulating_search(g, args.height)
     except NoJonssonBasisFound as e:
@@ -468,7 +469,7 @@ def _cmd_regulating(args):
 
 
 def _cmd_lift(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     basis = jonsson_basis_from_summands(g, _candidate_summands(g, args.summands))
     report = lift_quotient_decomposition(
         g, basis, _int_rows(args.u), _int_rows(args.w)
@@ -491,8 +492,8 @@ def _cmd_lift(args):
 
 
 def _cmd_quotient(args):
-    _name1, g = _pick(_load_groups(args.file), args.name, args.file)
-    _name2, a = _pick(_load_groups(args.other), args.other_name, args.other)
+    g = _group(args.file, args.name)
+    a = _group(args.other, args.other_name)
     d = index_and_quotient(g, a)
     if not d.is_finite:
         lines = [f"InfiniteTorsion(p={d.prime}, direction={_vec_str(d.direction)})"]
@@ -508,7 +509,7 @@ def _cmd_quotient(args):
 
 
 def _cmd_si_check(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     basis = basis_record(g, _vectors(args.basis))
     report = property_si_check(g, basis)
     lines = [report.verdict.value]
@@ -531,7 +532,7 @@ def _cmd_si_check(args):
 
 
 def _cmd_si_search(args):
-    _name, g = _pick(_load_groups(args.file), args.name, args.file)
+    g = _group(args.file, args.name)
     cert = typeset_obstruction_certificate(g)
     witness = strong_decomposability_witness_search(g, args.height)
     lines = []
@@ -658,137 +659,56 @@ def _cmd_verify(args):
 # -- wiring ---------------------------------------------------------------------
 
 
-def _add_common(sp, name=True):
-    if name:
-        sp.add_argument("--name", help="group name within the file (default: first)")
-    sp.add_argument("--json", action="store_true", help="emit a JSON report")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="torsionfree", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("member", help="membership of a vector")
-    sp.add_argument("file")
-    sp.add_argument("vector")
-    sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--bound", type=int)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_member)
+    def command(name, fn, help, *arguments):
+        """A command on one group file: the file, the given arguments, then
+        --name and --json.  A str is a positional argument, or a required
+        option when it starts with "--"; a (flag, kwargs) pair is an option."""
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("file")
+        for arg in arguments:
+            if isinstance(arg, tuple):
+                sp.add_argument(arg[0], **arg[1])
+            elif arg.startswith("--"):
+                sp.add_argument(arg, required=True)
+            else:
+                sp.add_argument(arg)
+        sp.add_argument("--name", help="group name within the file (default: first)")
+        sp.add_argument("--json", action="store_true", help="emit a JSON report")
+        sp.set_defaults(fn=fn)
 
-    sp = sub.add_parser("type", help="divisibility type of an element")
-    sp.add_argument("file")
-    sp.add_argument("vector")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_type)
+    def height(default):
+        return ("--height", {"type": _int_at_least(1), "default": default})
 
-    sp = sub.add_parser("purify", help="pure hull of a subspace")
-    sp.add_argument("file")
-    sp.add_argument("vectors")
-    sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--bound", type=int)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_purify)
-
-    sp = sub.add_parser("basis-check", help="is the tuple a basis of the group")
-    sp.add_argument("file")
-    sp.add_argument("--basis", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_basis_check)
-
-    sp = sub.add_parser("minmul", help="minimal multiplier of a span basis")
-    sp.add_argument("file")
-    sp.add_argument("--basis", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_minmul)
-
-    sp = sub.add_parser("brep", help="B-representation of an element")
-    sp.add_argument("file")
-    sp.add_argument("vector")
-    sp.add_argument("--basis", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_brep)
-
-    sp = sub.add_parser("split", help="classify a basis partition")
-    sp.add_argument("file")
-    sp.add_argument("--basis", required=True)
-    sp.add_argument("--partition", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_split)
-
-    sp = sub.add_parser("decompose", help="bounded complete-decomposition search")
-    sp.add_argument("file")
-    sp.add_argument("--height", type=_int_at_least(1), default=1)
-    sp.add_argument("--max-blocks", type=_int_at_least(2), default=None)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_decompose)
-
-    sp = sub.add_parser("iso", help="compare two decompositions given by blocks")
-    sp.add_argument("file")
-    sp.add_argument("--first", required=True)
-    sp.add_argument("--second", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_iso)
-
-    sp = sub.add_parser("aut-check", help="verify a span matrix as (quasi-)automorphism")
-    sp.add_argument("file")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--quasi", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_aut_check)
-
-    sp = sub.add_parser("quasi-eq", help="strict quasi-equality witness")
-    sp.add_argument("file")
-    sp.add_argument("other")
-    sp.add_argument("--other-name")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_quasi_eq)
-
-    sp = sub.add_parser("commensurable", help="mutual finite-index witness")
-    sp.add_argument("file")
-    sp.add_argument("other")
-    sp.add_argument("--other-name")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_commensurable)
-
-    sp = sub.add_parser("jonsson", help="build a Jonsson basis from summand spans")
-    sp.add_argument("file")
-    sp.add_argument("--summands", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_jonsson)
-
-    sp = sub.add_parser("regulating", help="minimal-index Jonsson basis search")
-    sp.add_argument("file")
-    sp.add_argument("--height", type=_int_at_least(1), default=2)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_regulating)
-
-    sp = sub.add_parser("lift", help="lift a quotient decomposition")
-    sp.add_argument("file")
-    sp.add_argument("--summands", required=True)
-    sp.add_argument("--u", required=True)
-    sp.add_argument("--w", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_lift)
-
-    sp = sub.add_parser("quotient", help="G/A invariant factors or infinite witness")
-    sp.add_argument("file")
-    sp.add_argument("other")
-    sp.add_argument("--other-name")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_quotient)
-
-    sp = sub.add_parser("si-check", help="Property SI for one basis")
-    sp.add_argument("file")
-    sp.add_argument("--basis", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_si_check)
-
-    sp = sub.add_parser("si-search", help="certificate plus bounded witness search")
-    sp.add_argument("file")
-    sp.add_argument("--height", type=_int_at_least(1), default=2)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_si_search)
+    oracle = (("--oracle", {"action": "store_true"}), ("--bound", {"type": int}))
+    other = ("other", ("--other-name", {}))
+    command("member", _cmd_member, "membership of a vector", "vector", *oracle)
+    command("type", _cmd_type, "divisibility type of an element", "vector")
+    command("purify", _cmd_purify, "pure hull of a subspace", "vectors", *oracle)
+    command("basis-check", _cmd_basis_check, "is the tuple a basis of the group", "--basis")
+    command("minmul", _cmd_minmul, "minimal multiplier of a span basis", "--basis")
+    command("brep", _cmd_brep, "B-representation of an element", "vector", "--basis")
+    command("split", _cmd_split, "classify a basis partition", "--basis", "--partition")
+    command(
+        "decompose", _cmd_decompose, "bounded complete-decomposition search", height(1),
+        ("--max-blocks", {"type": _int_at_least(2), "default": None}),
+    )
+    command("iso", _cmd_iso, "compare two decompositions given by blocks", "--first", "--second")
+    command(
+        "aut-check", _cmd_aut_check, "verify a span matrix as (quasi-)automorphism",
+        "--matrix", ("--quasi", {"action": "store_true"}),
+    )
+    command("quasi-eq", _cmd_quasi_eq, "strict quasi-equality witness", *other)
+    command("commensurable", _cmd_commensurable, "mutual finite-index witness", *other)
+    command("jonsson", _cmd_jonsson, "build a Jonsson basis from summand spans", "--summands")
+    command("regulating", _cmd_regulating, "minimal-index Jonsson basis search", height(2))
+    command("lift", _cmd_lift, "lift a quotient decomposition", "--summands", "--u", "--w")
+    command("quotient", _cmd_quotient, "G/A invariant factors or infinite witness", *other)
+    command("si-check", _cmd_si_check, "Property SI for one basis", "--basis")
+    command("si-search", _cmd_si_search, "certificate plus bounded witness search", height(2))
 
     sp = sub.add_parser("verify", help="run the property suite on a file or corpus")
     sp.add_argument("file", nargs="?")

@@ -63,7 +63,11 @@ def _parse_prime_set(body: str, line_no: int, line: str):
             p = int(part)
         except ValueError:
             _fail(f"bad prime {part!r}", line_no, line, part)
-        if not is_prime(p):
+        try:
+            prime = is_prime(p)
+        except ValueError as e:
+            _fail(str(e), line_no, line, part)
+        if not prime:
             _fail(f"{p} is not prime", line_no, line, part)
         primes.append(p)
     return tuple(sorted(set(primes)))

@@ -4,6 +4,11 @@ Vectors are tuples of Fractions acting as rows; a matrix is a tuple of row
 vectors.  Maps compose on the right: ``apply_matrix(x, M)`` is the row-vector
 product x*M, so the rows of M are the images of the coordinate vectors.
 Everything is exact -- no floats, no tolerances anywhere.
+
+Elimination over Q runs on integers: rational rows are scaled to integer
+rows and reduced by one fraction-free Gauss-Jordan kernel, ``_eliminate``
+(Bareiss, Math. Comp. 22, 1968).  ``rref``, ``det`` and ``Subspace`` all use
+it; Hermite and Smith forms work over Z directly.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 Vec = tuple[Fraction, ...]
@@ -88,67 +93,64 @@ def mat_inverse(a: Mat) -> Mat:
 
 
 def det(a: Mat) -> Fraction:
+    """Determinant: the sign times the last pivot over the product of row scales."""
     n = len(a)
-    rows = [list(r) for r in a]
-    sign = 1
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        d *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                rows[r] = [e - f * g for e, g in zip(rows[r], rows[col])]
-    return d * sign
+    if any(len(r) != n for r in a):
+        raise ValueError("matrix is not square")
+    forms = [integer_form(r) for r in a]
+    work = [y for y, _d in forms]
+    pivots, sign = _eliminate(work, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * (work[-1][-1] if n else 1), prod(d for _y, d in forms))
 
 
 # ---------------------------------------------------------------------------
-# Reduced row echelon form and linear solving
+# Fraction-free elimination, reduced row echelon form and linear solving
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(work: list[list[Fraction]], ncols: int) -> tuple[int, ...]:
-    """Gauss-Jordan elimination in place on the first ncols columns of work.
+def _eliminate(work: list, ncols: int) -> tuple[tuple[int, ...], int]:
+    """Fraction-free Gauss-Jordan elimination in place on integer rows.
 
-    Rows are reduced to echelon form: nonzero rows first, leading coefficient
-    1 in each pivot column, pivot columns cleared in every other row.  Any
-    trailing columns ride along, so eliminating [rows | I] records the
-    transform.  Returns the pivot columns; their number is the rank.
+    Each step cross-multiplies every other row by the pivot and divides
+    exactly by the previous pivot, so all entries stay integers (minors of
+    the input).  Afterwards the nonzero rows come first, and pivot row i is
+    d times the i-th reduced echelon row, d being the last pivot: d in its
+    pivot column, zero in the other pivot columns.  Columns past ncols ride
+    along, so eliminating [rows | I] records the transform, scaled by d.
+    Returns the pivot columns, whose number is the rank, and the sign of the
+    row permutation; a square input of full rank has determinant sign * d.
     """
     pivots: list[int] = []
-    rank = 0
+    sign = prev = 1
     n = len(work)
     for col in range(ncols):
+        rank = len(pivots)
         if rank == n:
             break
-        piv = next((r for r in range(rank, n) if work[r][col] != 0), None)
+        piv = next((r for r in range(rank, n) if work[r][col]), None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = Fraction(1) / work[rank][col]
-        pivot_row = work[rank] = [e * inv for e in work[rank]]
+        if piv != rank:
+            work[rank], work[piv] = work[piv], work[rank]
+            sign = -sign
+        pivot_row = work[rank]
+        p = pivot_row[col]
         for r in range(n):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [e - f * g for e, g in zip(work[r], pivot_row)]
+            f = work[r][col]
+            if r == rank or not f and p == prev:
+                continue
+            work[r] = [(p * e - f * g) // prev for e, g in zip(work[r], pivot_row)]
+        prev = p
         pivots.append(col)
-        rank += 1
-    return tuple(pivots)
+    return tuple(pivots), sign
 
 
-def _echelon(rows) -> tuple[Mat, tuple[int, ...]]:
-    """Nonzero reduced echelon rows of rows, and their pivot columns."""
-    if not rows:
-        return (), ()
-    work = [list(r) for r in rows]
-    pivots = _eliminate(work, len(rows[0]))
-    return tuple(tuple(row) for row in work[: len(pivots)]), pivots
+def _primitive(row, pivot: int) -> tuple[int, ...]:
+    """The integer row divided by its content, signed so the pivot entry is positive."""
+    g = gcd(*row)
+    return tuple(e // g for e in row) if row[pivot] > 0 else tuple(-e // g for e in row)
 
 
 def rref(rows: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:
@@ -157,17 +159,23 @@ def rref(rows: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:
     Returns (R, T, pivots) where R consists of the nonzero echelon rows
     (leading coefficient 1, pivot columns cleared elsewhere), T are the
     corresponding combination rows with R[i] == T[i] * rows, and pivots are
-    the pivot column indices of R.
+    the pivot column indices of R.  The rows are scaled to integers over one
+    common denominator s and eliminated as [s * rows | I].
     """
     if not rows:
         return (), (), ()
-    ncols = len(rows[0])
-    work = [list(rows[i]) + list(unit_vec(len(rows), i)) for i in range(len(rows))]
-    pivots = _eliminate(work, ncols)
+    m, ncols = len(rows), len(rows[0])
+    flat, s = integer_form([e for r in rows for e in r])
+    work = [
+        list(flat[i * ncols : (i + 1) * ncols]) + [int(i == j) for j in range(m)]
+        for i in range(m)
+    ]
+    pivots, _sign = _eliminate(work, ncols)
+    d = work[0][pivots[0]] if pivots else 1
     top = work[: len(pivots)]
     return (
-        tuple(tuple(row[:ncols]) for row in top),
-        tuple(tuple(row[ncols:]) for row in top),
+        tuple(tuple(Fraction(e, d) for e in row[:ncols]) for row in top),
+        tuple(tuple(Fraction(e * s, d) for e in row[ncols:]) for row in top),
         pivots,
     )
 
@@ -393,67 +401,99 @@ def integer_kernel(rows) -> IMat:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^n held by its canonical reduced-echelon basis."""
+    """A linear subspace of Q^n held by its canonical integer echelon basis.
+
+    ``basis`` holds the reduced echelon rows, each scaled to a primitive
+    integer vector with a positive pivot entry, and ``pivots`` their pivot
+    columns.  The form is unique, so equal subspaces compare and hash equal.
+    """
 
     ambient_dim: int
-    rows: Mat
+    basis: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
 
     @staticmethod
     def span(vectors, ambient_dim: int) -> "Subspace":
-        rows = mat(vectors)
-        for r in rows:
+        work = [integer_form(v)[0] for v in vectors]
+        for r in work:
             if len(r) != ambient_dim:
                 raise ValueError("vector length %d does not match ambient %d" % (len(r), ambient_dim))
-        r, p = _echelon(rows)
-        return Subspace(ambient_dim, r, p)
+        pivots, _sign = _eliminate(work, ambient_dim)
+        return Subspace(ambient_dim, tuple(map(_primitive, work, pivots)), pivots)
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, identity_matrix(ambient_dim), tuple(range(ambient_dim)))
+        return Subspace.span(identity_matrix(ambient_dim), ambient_dim)
+
+    @cached_property
+    def rows(self) -> Mat:
+        """The reduced echelon rows with leading coefficient 1."""
+        return tuple(
+            tuple(Fraction(e, row[p]) for e in row) for row, p in zip(self.basis, self.pivots)
+        )
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.basis)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.basis
+
+    def _residual(self, x) -> tuple[list[int], int]:
+        """(r, s): r / s is x minus its part along the basis, zero at the pivots."""
+        if len(x) != self.ambient_dim:
+            raise ValueError("dimension mismatch")
+        residual, s = integer_form(x)
+        for row, piv in zip(self.basis, self.pivots):
+            c = residual[piv]
+            if c:
+                b = row[piv]
+                residual = [b * e - c * g for e, g in zip(residual, row)]
+                s *= b
+        return residual, s
+
+    def _check_ambient(self, other: "Subspace") -> None:
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+
+    def _reduced(self, x) -> bool:
+        """Whether x has the ambient length and no entry at a pivot (so x mod W is x)."""
+        return len(x) == self.ambient_dim and not any(x[p] for p in self.pivots)
 
     def contains_vector(self, x: Vec) -> bool:
-        return is_zero_vec(self.reduce(x))
+        if self._reduced(x):
+            return not any(x)
+        return not any(self._residual(x)[0])
 
     def reduce(self, x: Vec) -> Vec:
         """Canonical coset representative of x modulo this subspace."""
-        if len(x) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        residual = list(x)
-        for row, piv in zip(self.rows, self.pivots):
-            c = residual[piv]
-            if c:
-                for j in range(piv, len(residual)):
-                    residual[j] -= c * row[j]
-        return tuple(residual)
+        if self._reduced(x):
+            return tuple(x)
+        residual, s = self._residual(x)
+        return tuple(Fraction(e, s) for e in residual)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(r) for r in other.rows)
+        self._check_ambient(other)
+        return all(self.contains_vector(r) for r in other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace.span(self.rows + other.rows, self.ambient_dim)
+        self._check_ambient(other)
+        return Subspace.span(self.basis + other.basis, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection by one Zassenhaus elimination of [a | a] over [b | 0].
 
-        The echelon rows whose left half vanishes are the reduced echelon
+        The echelon rows whose left half vanishes carry the reduced echelon
         basis of the intersection in their right half, so no second
         elimination is needed.
         """
+        self._check_ambient(other)
         n = self.ambient_dim
-        block = [r + r for r in self.rows] + [r + zero_vec(n) for r in other.rows]
-        rows, pivots = _echelon(block)
+        work = [r + r for r in self.basis] + [r + (0,) * n for r in other.basis]
+        pivots, _sign = _eliminate(work, 2 * n)
         k = sum(1 for p in pivots if p < n)
-        return Subspace(
-            n, tuple(r[n:] for r in rows[k:]), tuple(p - n for p in pivots[k:])
-        )
+        low = tuple(p - n for p in pivots[k:])
+        return Subspace(n, tuple(_primitive(r[n:], p) for r, p in zip(work[k:], low)), low)
 
 
 # ---------------------------------------------------------------------------

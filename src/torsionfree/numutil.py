@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
 
 _RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -67,14 +66,17 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: Miller-Rabin below _MR_LIMIT, trial division above."""
+    """Exact primality by Miller-Rabin with the bases _MR_BASES.
+
+    A witness proves n composite at any size, and below _MR_LIMIT the lack
+    of one proves n prime.  At or above the limit no proof is at hand, so a
+    number without a witness raises ValueError rather than being guessed.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
-        return all(n % f for f in range(3, isqrt(n) + 1, 2))
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -89,6 +91,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot certify primality of a {len(str(n))}-digit number")
     return True
 
 

@@ -90,8 +90,8 @@ class DivisibilityType:
             raise ValueError("multiplier must be positive")
         if self.inverted.is_all and self.multiplier != 1:
             raise ValueError("canonical form of Q has multiplier 1")
-        for p in factorize(self.multiplier) if self.multiplier > 1 else ():
-            if p in self.inverted:
+        for p in self.inverted.primes:
+            if self.multiplier % p == 0:
                 raise ValueError("multiplier prime %d is absorbed by the inverted set" % p)
 
     def contains(self, q: Fraction | int) -> bool:
@@ -102,10 +102,10 @@ class DivisibilityType:
         if self.inverted.is_all:
             return True
         den = (self.multiplier * q).denominator
-        for p in factorize(den) if den > 1 else ():
-            if p not in self.inverted:
-                return False
-        return True
+        for p in self.inverted:
+            while den % p == 0:
+                den //= p
+        return den == 1
 
 
 TYPE_Z = DivisibilityType(1, NO_PRIMES)

@@ -43,10 +43,10 @@ GOLDEN_COMMANDS = [
 ]
 
 
-def run_cli(argv, hashseed="0"):
+def run_cli(argv, hashseed="0", timeout=None):
     cmd = [sys.executable, "-m", "torsionfree.cli", *argv]
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
-    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout)
 
 
 class TestExitCodes:
@@ -147,6 +147,26 @@ class TestOutputs:
         assert main(["verify", str(DATA / "g3.grp")]) == 0
         out = capsys.readouterr().out
         assert out.endswith("checks)\n")
+
+
+class TestLargeNumbers:
+    # 10^30 + 57 is a 31-digit prime, past the proven Miller-Rabin range;
+    # neither command may factor it or trial-divide it
+    def test_type_with_a_31_digit_multiplier(self, tmp_path):
+        path = tmp_path / "big.grp"
+        path.write_text("group big ambient 2\ngen [1/1000000000000000000000000000057, 0] inv {}\n")
+        done = run_cli(["type", str(path), "(1,0)"], timeout=20)
+        assert done.returncode == 0
+        assert done.stdout == "type: 1/1000000000000000000000000000057 Z\n"
+
+    def test_uncertified_prime_in_prime_set_is_one(self, tmp_path):
+        path = tmp_path / "bigp.grp"
+        path.write_text("group bigp ambient 1\ngen [1] inv {1000000000000000000000000000057}\n")
+        done = run_cli(["member", str(path), "(1)"], timeout=20)
+        assert done.returncode == 1
+        assert done.stderr == (
+            f"error: {path}: line 2, col 14: cannot certify primality of a 31-digit number\n"
+        )
 
 
 @pytest.mark.parametrize("name,argv", GOLDEN_COMMANDS, ids=[n for n, _ in GOLDEN_COMMANDS])

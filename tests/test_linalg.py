@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,71 @@ def rational_matrices(max_rows: int = 4, max_cols: int = 4):
             max_size=max_rows,
         )
     )
+
+
+def reference_rref(rows):
+    """Gauss-Jordan over Fraction on [rows | I]: (R, T, pivots), as rref returns."""
+    m = len(rows)
+    ncols = len(rows[0])
+    work = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(m)] for i, r in enumerate(rows)]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, m) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        work[rank] = [e / work[rank][col] for e in work[rank]]
+        for r in range(m):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [e - f * g for e, g in zip(work[r], work[rank])]
+        pivots.append(col)
+    top = work[: len(pivots)]
+    return tuple(tuple(r[:ncols]) for r in top), tuple(tuple(r[ncols:]) for r in top), tuple(pivots)
+
+
+def leibniz_det(a):
+    n = len(a)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        total += (-1) ** inversions * math.prod((a[i][perm[i]] for i in range(n)), start=Fraction(1))
+    return total
+
+
+@st.composite
+def deficient_matrices(draw, max_rows: int = 4, max_cols: int = 4):
+    """Rational matrices with zero rows and combinations of other rows mixed in."""
+    rows = draw(rational_matrices(max_rows, max_cols))
+    cols = len(rows[0])
+    extra = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)), max_size=2))
+    rows = rows + [[sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(cols)] for coeffs in extra]
+    rows = rows + [[Fraction(0)] * cols] * draw(st.integers(0, 1))
+    return draw(st.permutations(rows))
+
+
+class TestEliminationKernel:
+    @given(deficient_matrices())
+    @settings(max_examples=150)
+    def test_rref_matches_fraction_reference(self, entries):
+        rows = mat(entries)
+        assert rref(rows) == reference_rref(rows)
+
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda n: st.lists(st.lists(small_fractions(3, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+    )
+    @settings(max_examples=150)
+    def test_det_matches_leibniz(self, entries):
+        assert det(mat(entries)) == leibniz_det(entries)
+
+    def test_det_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            det(mat([[1, 2, 3], [4, 5, 6]]))
+        with pytest.raises(ValueError):
+            det(mat([[1], [2]]))
 
 
 class TestRref:
@@ -162,13 +229,16 @@ class TestIntegerKernel:
 
 
 class TestSubspace:
-    @given(rational_matrices())
-    @settings(max_examples=60)
+    @given(deficient_matrices())
+    @settings(max_examples=100)
     def test_span_matches_rref(self, entries):
         rows = mat(entries)
         r, _t, pivots = rref(rows)
         space = Subspace.span(rows, len(rows[0]))
         assert space.rows == r and space.pivots == pivots
+        for row, p in zip(space.basis, pivots):
+            assert all(isinstance(e, int) for e in row)
+            assert row[p] > 0 and math.gcd(*row) == 1
 
     def test_dimension_formula(self):
         a = Subspace.span([vec([1, 0, 0]), vec([0, 1, 0])], 3)
@@ -206,6 +276,27 @@ class TestSubspace:
         # residue differs from x by a subspace element, and is fixed by reduce
         assert s.contains_vector(tuple(a - b for a, b in zip(x, r)))
         assert s.reduce(r) == r
+
+    @given(
+        st.lists(vectors(3), min_size=1, max_size=3),
+        st.permutations(range(3)),
+        st.lists(small_fractions().filter(bool), min_size=3, max_size=3),
+    )
+    @settings(max_examples=100)
+    def test_equality_ignores_order_and_scale(self, vs, order, scales):
+        a = Subspace.span([vec(v) for v in vs], 3)
+        moved = [vs[i] for i in order if i < len(vs)]
+        b = Subspace.span([tuple(c * e for e in v) for c, v in zip(scales, moved)], 3)
+        assert a == b and hash(a) == hash(b)
+
+    def test_mismatched_ambient_raises(self):
+        a = Subspace.span([vec([1, 0])], 2)
+        b = Subspace.span([vec([1, 0, 0]), vec([0, 1, 0])], 3)
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(ValueError):
+                left.intersect(right)
+            with pytest.raises(ValueError):
+                left.sum(right)
 
     def test_contains_subspace(self):
         big = Subspace.full(2)

@@ -1,3 +1,7 @@
+import time
+
+import pytest
+
 from torsionfree.numutil import is_prime
 
 
@@ -27,3 +31,16 @@ def test_large_primes():
     assert is_prime(1000000000000000003)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
+
+
+def test_uncertified_prime_raises_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cannot certify primality of a 31-digit number"):
+        is_prime(10**30 + 57)
+    assert time.perf_counter() - start < 1
+
+
+def test_composite_past_the_proven_range_has_a_witness():
+    n = (2**61 - 1) * 1000000000000000003
+    assert n > 3_317_044_064_679_887_385_961_981
+    assert not is_prime(n)

@@ -1,11 +1,14 @@
 """Static checks on the package source, with the standard library's ast."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "torsionfree"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "torsionfree"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,3 +31,22 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def tracer_targets():
+    """(module, attribute path) pairs that perfbench/tracer.py wraps with --trace 1."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+@pytest.mark.parametrize("module, path", tracer_targets(), ids=lambda t: t)
+def test_tracer_target_resolves(module, path):
+    # the tracer reads methods from the class __dict__, so an inherited or
+    # renamed attribute would break the traced benchmark run
+    owner, _, name = path.rpartition(".")
+    namespace = importlib.import_module(f"torsionfree.{module}")
+    if owner:
+        namespace = getattr(namespace, owner)
+    assert callable(vars(namespace).get(name))
