@@ -2,10 +2,12 @@
 
 A partition of a basis splits the group when the purified block spans sum
 back to the whole group; a complete decomposition is a maximal such
-refinement.  The verdict depends only on the spans of the blocks.  Searches
-are bounded and deterministic: set partitions are walked in
-restricted-growth-string order and candidate bases in lexicographic
-coefficient order.  An empty search result is never a proof
+refinement.  The verdict depends only on the spans of the blocks: the block
+hulls sum to G exactly when each projection of [G] onto a block span along
+the others maps G into G, so it is read off G's generators without building
+any hull.  Searches are bounded and deterministic: set partitions are
+walked in restricted-growth-string order and candidate bases in
+lexicographic coefficient order.  An empty search result is never a proof
 of indecomposability.
 """
 
@@ -16,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .bases import BasisRecord, require_basis
 from .groups import (
@@ -25,7 +28,7 @@ from .groups import (
     compare,
     element_type,
     group_rep,
-    pure_sum,
+    split_hulls,
     subgroup_leq,
 )
 from .linalg import (
@@ -33,11 +36,10 @@ from .linalg import (
     Subspace,
     Vec,
     apply_matrix,
+    integer_form,
     mat,
     mat_inverse,
     mat_mul,
-    vadd,
-    vec,
     vscale,
 )
 
@@ -136,15 +138,14 @@ def decomposition_record(
 def check_splitting_partition(g: GroupRep, partition: PartitionRecord):
     """Whether the purified block spans reconstitute g; the decomposition if so.
 
-    Ranks always add up, so the sum of the block hulls equals g exactly when
-    g embeds in it; otherwise the quotient of g by the sum is nonzero
-    torsion and the partition does not split.
+    The verdict comes from the block projections (``groups.pure_sum_kind``),
+    so the block hulls are purified only for a partition that splits.
     """
     require_basis(g, partition.basis)
-    summands, total = pure_sum(g, partition.spans)
-    if subgroup_leq(g, total):
-        return True, decomposition_record(g, summands)
-    return False, None
+    hulls = split_hulls(g, partition.spans)
+    if hulls is None:
+        return False, None
+    return True, decomposition_record(g, hulls)
 
 
 def set_partitions(t: int, max_blocks: int | None = None):
@@ -196,33 +197,30 @@ def enumerate_splitting_partitions(
     return out
 
 
-def _canonical_sign(v: Vec) -> Vec:
-    for e in v:
-        if e:
-            return v if e > 0 else vscale(-1, v)
-    return v
-
-
 def candidate_vectors(g: GroupRep, height_bound: int) -> tuple[Vec, ...]:
     """Nonzero integer combinations of the generators, coefficients bounded
-    by height_bound, deduplicated up to sign, in lexicographic order."""
-    gens = [v for v, _s in g.generators]
-    out: list[Vec] = []
-    seen = set()
-    for coeffs in itertools.product(
-        range(-height_bound, height_bound + 1), repeat=len(gens)
-    ):
-        v = vec([0] * g.ambient_dim)
-        for c, w in zip(coeffs, gens):
-            if c:
-                v = vadd(v, vscale(c, w))
-        if not any(v):
-            continue
-        v = _canonical_sign(v)
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return tuple(out)
+    by height_bound, deduplicated up to sign, in lexicographic order.
+
+    The generators are scaled to integer rows over one common denominator,
+    so the walk, the sign (first nonzero entry positive) and the dedupe run
+    on integer tuples.  The sums come in ``itertools.product`` order of the
+    coefficient tuples: each generator's multiples are added to every sum of
+    the generators before it.
+    """
+    n = g.ambient_dim
+    flat, d = integer_form([e for v, _s in g.generators for e in v])
+    coeffs = range(-height_bound, height_bound + 1)
+    sums = [(0,) * n]
+    for i in range(len(g.generators)):
+        row = flat[i * n : (i + 1) * n]
+        multiples = [tuple(c * e for e in row) for c in coeffs]
+        sums = [tuple(map(add, s, m)) for s in sums for m in multiples]
+    seen: dict[tuple[int, ...], None] = {}
+    for y in sums:
+        lead = next((e for e in y if e), 0)
+        if lead:
+            seen[y if lead > 0 else tuple(-e for e in y)] = None
+    return tuple(tuple(Fraction(e, d) for e in y) for y in seen)
 
 
 def _generated_bases(g: GroupRep, height_bound: int):

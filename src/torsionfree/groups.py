@@ -36,6 +36,7 @@ from .linalg import (
     Subspace,
     Vec,
     apply_matrix,
+    direct_sum_projections,
     hermite_basis,
     integer_form,
     is_zero_vec,
@@ -63,6 +64,12 @@ class SpanMismatch(GroupError):
 
 class NotASubgroup(GroupError):
     pass
+
+
+class SplitKind(enum.Enum):
+    EXACT = "ExactSplit"
+    QUASI = "QuasiSplit"
+    NONE = "NoSplit"
 
 
 class Compare(enum.Enum):
@@ -280,17 +287,19 @@ def _member_scaled(g: GroupRep, y: tuple[int, ...], d: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _piece_contained(g: GroupRep, v: Vec, s: PrimeSet) -> bool:
-    """Whether the rank-1 module Z[S^-1]*v is contained in G.
-
-    For v in G, v lies in W_p iff its coordinates in the p-local map vanish.
-    """
-    y, d = integer_form(v)
-    if not _member_scaled(g, y, d):
-        return False
+def _divisible_along(g: GroupRep, y: tuple[int, ...], s: PrimeSet) -> bool:
+    """Whether the integer vector y, lying in [G], lies in W_p for every p in S
+    (in W_ALL for S = ALL), read as: its coordinates in the p-local map vanish."""
     if s.is_all:
         return not any(g._untagged_map.numerators(y))
     return all(not any(g._local_map(p).numerators(y)) for p in s)
+
+
+def _piece_contained(g: GroupRep, v: Vec, s: PrimeSet) -> bool:
+    """Whether the rank-1 module Z[S^-1]*v is contained in G: v lies in G and,
+    for each p in S, in W_p, the directions of infinite p-height."""
+    y, d = integer_form(v)
+    return _member_scaled(g, y, d) and _divisible_along(g, y, s)
 
 
 def subgroup_leq(h: GroupRep, g: GroupRep) -> bool:
@@ -444,6 +453,46 @@ def pure_sum(g: GroupRep, spaces) -> tuple[tuple[GroupRep, ...], GroupRep]:
     hulls = tuple(purify(g, space) for space in spaces)
     total = sum_groups(*hulls) if hulls else zero_group(g.ambient_dim)
     return hulls, total
+
+
+def pure_sum_kind(g: GroupRep, spaces) -> SplitKind:
+    """How the pure hulls of independent subspaces U_1..U_k spanning [G] sum.
+
+    With pi_i the projection onto U_i along the others, the hulls U_i ∩ G
+    sum to G exactly when every pi_i maps G into G, and to a subgroup of
+    finite index exactly when some multiple of every pi_i does.  On a
+    generator (v, S) the first holds iff Z[S^-1]*pi_i(v) lies in G, the
+    second iff pi_i(v) lies in W_p for each p in S (in W_ALL for S = ALL),
+    because a multiple of pi_i(v) always lies in G.  The last projection is
+    the identity minus the others, so it needs no test.  The projections
+    come from one elimination of the spaces' integer rows, and the tests
+    read g's own coordinate maps: no hull and no sum group is built.
+    """
+    spaces = tuple(spaces)
+    total, images, d = direct_sum_projections(spaces, g.ambient_dim)
+    if total != g.span:
+        raise SpanMismatch("the subspaces do not span the group")
+    exact = True
+    for v, s in g.generators:
+        y, e = integer_form(v)
+        head = [y[p] for p in total.pivots]
+        for image in images[:-1]:
+            z = [0] * g.ambient_dim
+            for c, row in zip(head, image):
+                if c:
+                    z = [a + c * b for a, b in zip(z, row)]
+            if not _divisible_along(g, z, s):
+                return SplitKind.NONE
+            exact = exact and _member_scaled(g, z, e * d)
+    return SplitKind.EXACT if exact else SplitKind.QUASI
+
+
+def split_hulls(g: GroupRep, spaces) -> tuple[GroupRep, ...] | None:
+    """The pure hulls of the spaces when they sum to g exactly, else None."""
+    spaces = tuple(spaces)
+    if pure_sum_kind(g, spaces) is not SplitKind.EXACT:
+        return None
+    return tuple(purify(g, space) for space in spaces)
 
 
 def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:

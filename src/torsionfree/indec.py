@@ -11,7 +11,12 @@ can therefore never coexist.  A search that ends empty-handed proves
 nothing beyond its own scope.
 
 Split and quasi-split verdicts depend only on the spans of the blocks, so
-the witness search checks each set of block spans once.
+the witness search checks each set of block spans once.  The hulls of the
+block spans sum to a subgroup of finite index exactly when a multiple of
+each projection onto a block span along the others maps G into G, that is,
+when each projection carries every generator (v, S) into W_p for p in S.
+The search reads that verdict off the generators and builds the hulls and
+the quotient report only for the first span set that passes.
 """
 
 from __future__ import annotations
@@ -30,9 +35,17 @@ from .decomp import (
     check_splitting_partition,
     set_partitions,
 )
-from .groups import GroupError, GroupRep, QuotientDescription, element_type, index_and_quotient
+from .groups import (
+    GroupError,
+    GroupRep,
+    QuotientDescription,
+    SplitKind,
+    element_type,
+    index_and_quotient,
+    pure_sum_kind,
+)
 from .linalg import Vec
-from .quasi import SplitKind, SplitReport, quasi_split_check
+from .quasi import SplitReport, quasi_split_check
 from .rank1 import DivisibilityType, PrimeSet
 
 
@@ -117,8 +130,8 @@ def strong_decomposability_witness_search(g: GroupRep, height_bound: int) -> Wit
             if key in seen_spans:
                 continue
             seen_spans.add(key)
-            report = quasi_split_check(g, basis, partition)
-            if report.kind is not SplitKind.NONE:
+            if pure_sum_kind(g, partition.spans) is not SplitKind.NONE:
+                report = quasi_split_check(g, basis, partition)
                 return WitnessSearchResult(
                     True, report.kind, basis, partition, report, height_bound, searched
                 )
@@ -142,8 +155,18 @@ def typeset_obstruction_certificate(g: GroupRep) -> SICertificate | None:
     (multipliers shift under finite index, the inverted sets do not).  Any
     antichain of three inverted sets among sampled elements contradicts
     that, since in the forced family the meet is comparable to both tops.
+
+    The sampler can only succeed on three distinct lines W_p.  With W_ALL = 0
+    an element off every line has the generic set {p : W_p = [G]}, and one on
+    a line L that set plus {p : W_p = L}; all contain the generic set, so an
+    antichain needs elements on three distinct lines W_p.  With W_ALL != 0
+    every W_p contains W_ALL, which leaves at most one such line.  So the
+    answer is None at once in either case.
     """
-    if g.rank != 2:
+    if g.rank != 2 or not g.divisible_all_directions.is_zero():
+        return None
+    lines = {g.divisible_directions(p) for p in g.tagged_primes}
+    if sum(1 for w in lines if w.dim == 1) < 3:
         return None
     found: dict[PrimeSet, tuple[Vec, DivisibilityType]] = {}
     for v in candidate_vectors(g, 2):

@@ -23,14 +23,16 @@ from .groups import (
     FiniteQuotient,
     GroupError,
     GroupRep,
+    SplitKind,
     compare,
     Compare,
     element_type,
     index_and_quotient,
     pure_sum,
+    pure_sum_kind,
     purify,
+    split_hulls,
     subgroup_leq,
-    sum_groups,
 )
 from .linalg import Mat, Subspace, Vec, mat
 from .indec import typeset_obstruction_certificate
@@ -124,11 +126,10 @@ def _groupings(t: int, max_blocks: int):
 
 def splitting_decompositions_of(a: JonssonBasis, max_blocks: int):
     """Proper summand groupings whose purified block sums rebuild G exactly."""
-    g = a.group
     out = []
     for blocks in _groupings(len(a.summands), max_blocks):
-        hulls, total = pure_sum(g, (_block_span(a, block) for block in blocks))
-        if subgroup_leq(g, total):
+        hulls = split_hulls(a.group, (_block_span(a, block) for block in blocks))
+        if hulls is not None:
             out.append((blocks, hulls))
     return out
 
@@ -189,9 +190,10 @@ def lift_quotient_decomposition(g: GroupRep, a: JonssonBasis, u_generators, w_ge
     searched = 0
     for blocks in _groupings(len(a.summands), 2):
         searched += 1
-        (b_hull, c_hull), total = pure_sum(a.group, (_block_span(a, block) for block in blocks))
-        if not subgroup_leq(g, total):
+        hulls = split_hulls(a.group, (_block_span(a, block) for block in blocks))
+        if hulls is None:
             continue
+        b_hull, c_hull = hulls
         if _image_subgroup(a, b_hull) == u and _image_subgroup(a, c_hull) == w:
             images = tuple(
                 tuple(q.image(v) for v, _s in hull.generators) for hull in (b_hull, c_hull)
@@ -210,25 +212,21 @@ def regulating_search(g: GroupRep, height_bound: int = 2):
     """
     if g.rank == 0:
         raise GroupError("the zero group has no rank-1 summand family")
-    lines: list[GroupRep] = []
-    seen_spans = set()
-    for v in candidate_vectors(g, height_bound):
-        space = Subspace.span([v], g.ambient_dim)
-        if space in seen_spans:
-            continue
-        seen_spans.add(space)
-        lines.append(purify(g, space))
+    # each line lies in [G]; its pure hull is built only once a combination
+    # of finite index needs it
+    vectors = candidate_vectors(g, height_bound)
+    lines = list(dict.fromkeys(Subspace.span([v], g.ambient_dim) for v in vectors))
     best: JonssonBasis | None = None
-    for combo in itertools.combinations(range(len(lines)), g.rank):
-        rows = [row for i in combo for row in lines[i].span.rows]
+    for combo in itertools.combinations(lines, g.rank):
+        rows = [row for line in combo for row in line.basis]
         if Subspace.span(rows, g.ambient_dim).dim != g.rank:
             continue
-        total = sum_groups(*(lines[i] for i in combo))
-        description = index_and_quotient(g, total)
-        if not description.is_finite:
+        if pure_sum_kind(g, combo) is SplitKind.NONE:
             continue
+        hulls, total = pure_sum(g, combo)
+        description = index_and_quotient(g, total)
         if best is None or description.quotient.order < best.index:
-            flagged = tuple((lines[i], JonssonFlag.RANK1) for i in combo)
+            flagged = tuple((hull, JonssonFlag.RANK1) for hull in hulls)
             best = JonssonBasis(g, flagged, description.quotient)
             if best.index == 1:
                 break
@@ -318,13 +316,15 @@ def unrefinable_quotient_decompositions(g: GroupRep, a: JonssonBasis):
         for which, block in enumerate(state):
             if len(block) < 2:
                 continue
+            # the hulls of the halves' spans are the same in the block's hull
+            # as in G, so the block splits iff they sum to its hull
             hull = purify(a.group, _block_span(a, block))
             for halves in set_partitions(len(block), 2):
                 if len(halves) < 2:
                     continue
                 left, right = (tuple(block[i] for i in half) for half in halves)
-                _hulls, total = pure_sum(a.group, (_block_span(a, left), _block_span(a, right)))
-                if not subgroup_leq(hull, total):
+                spans = (_block_span(a, left), _block_span(a, right))
+                if pure_sum_kind(hull, spans) is not SplitKind.EXACT:
                     continue
                 refined = True
                 nxt = tuple(

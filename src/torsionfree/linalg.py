@@ -496,6 +496,42 @@ class Subspace:
         return Subspace(n, tuple(_primitive(r[n:], p) for r, p in zip(work[k:], low)), low)
 
 
+def direct_sum_projections(spaces, ambient_dim: int) -> tuple[Subspace, tuple[IMat, ...], int]:
+    """The sum S of independent subspaces and the projection onto each along the rest.
+
+    Returns (S, images, d) with d > 0: ``images[i][j]`` is d times the
+    projection onto ``spaces[i]`` of S's j-th echelon row ``S.rows[j]``, as an
+    integer row.  An x in S is the sum of x[p_j] * S.rows[j] over S's pivots
+    p_j, so its projection onto ``spaces[i]`` is the sum of x[p_j] *
+    images[i][j], over d.  One elimination of [stacked bases | I] gives it
+    all: transform row j writes d * S.rows[j] in the stacked basis rows, and
+    its entries on the rows of ``spaces[i]`` make up the projection.  Raises
+    ValueError when the subspaces are not independent.
+    """
+    basis = [row for space in spaces for row in space.basis]
+    if any(space.ambient_dim != ambient_dim for space in spaces):
+        raise ValueError("ambient dimension mismatch")
+    m, n = len(basis), ambient_dim
+    work = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(basis)]
+    pivots, _sign = _eliminate(work, n)
+    if len(pivots) != m:
+        raise ValueError("the subspaces are not independent")
+    d = work[0][pivots[0]] if m else 1
+    if d < 0:
+        work, d = [[-e for e in row] for row in work], -d
+    images = []
+    lo = 0
+    for space in spaces:
+        hi = lo + space.dim
+        images.append(tuple(
+            tuple(sum(t[n + r] * basis[r][c] for r in range(lo, hi)) for c in range(n))
+            for t in work
+        ))
+        lo = hi
+    total = Subspace(n, tuple(_primitive(row[:n], p) for row, p in zip(work, pivots)), pivots)
+    return total, tuple(images), d
+
+
 # ---------------------------------------------------------------------------
 # Finitely generated subgroups of Q^n (fractional lattices)
 # ---------------------------------------------------------------------------
@@ -551,11 +587,14 @@ class RationalLattice:
         if not self.rows or space.is_zero():
             return RationalLattice(self.ambient_dim, ())
         # Solve for integer coefficient rows c with c * rows inside the space:
-        # constraints are the coordinates of each basis row reduced mod space.
-        constraints = tuple(space.reduce(r) for r in self.rows)
-        scale = lcm(*[e.denominator for r in constraints for e in r] or [1])
-        int_constraints = [[int(e * scale) for e in r] for r in constraints]
-        kernel = integer_kernel(int_constraints)
+        # the constraints are the basis rows reduced mod the space, over one
+        # common scale.  Scaling the whole matrix leaves its Hermite transform
+        # alone, so the primitive matrix gives the same kernel rows.
+        residuals = [space._residual(r) for r in self.rows]
+        scale = lcm(*[s for _r, s in residuals])
+        constraints = [[e * (scale // s) for e in r] for r, s in residuals]
+        content = gcd(*[e for r in constraints for e in r]) or 1
+        kernel = integer_kernel([[e // content for e in r] for r in constraints])
         gens = [apply_matrix(vec(k), self.rows) for k in kernel]
         return RationalLattice.from_generators(gens, self.ambient_dim)
 

@@ -17,7 +17,6 @@ derivation alone.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -28,6 +27,7 @@ from .groups import (
     Compare,
     GroupRep,
     QuotientDescription,
+    SplitKind,
     compare,
     index_and_quotient,
     pure_sum,
@@ -183,12 +183,6 @@ def quasi_automorphism_check(g: GroupRep, m: Mat) -> tuple[Fraction, Mat] | None
     if not automorphism_check(g, alpha):
         return None
     return r, alpha
-
-
-class SplitKind(enum.Enum):
-    EXACT = "ExactSplit"
-    QUASI = "QuasiSplit"
-    NONE = "NoSplit"
 
 
 @dataclass(frozen=True)

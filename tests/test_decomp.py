@@ -1,9 +1,11 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strategies import nonzero_group_reps
+from strategies import group_reps, nonzero_group_reps
 from torsionfree.bases import basis_record
 from torsionfree.decomp import (
     IsoVerdict,
@@ -223,6 +225,24 @@ class TestCandidateVectors:
 
     def test_deterministic(self):
         assert candidate_vectors(G2(), 2) == candidate_vectors(G2(), 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(group_reps(ambient=3, max_gens=4), st.integers(min_value=0, max_value=2))
+    def test_matches_the_fraction_walk(self, g, height):
+        assert candidate_vectors(g, height) == fraction_candidates(g, height)
+
+
+def fraction_candidates(g, height_bound):
+    """Reference: the coefficient walk over Fraction vectors, sign and dedupe."""
+    out = []
+    for coeffs in itertools.product(range(-height_bound, height_bound + 1), repeat=len(g.generators)):
+        v = tuple(sum((c * w[j] for c, (w, _s) in zip(coeffs, g.generators)), F(0)) for j in range(g.ambient_dim))
+        lead = next((e for e in v if e), 0)
+        if lead < 0:
+            v = tuple(-e for e in v)
+        if lead and v not in out:
+            out.append(v)
+    return tuple(out)
 
 
 class TestIsomorphy:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -6,17 +7,17 @@ from hypothesis import given, settings
 from strategies import group_reps
 from torsionfree import indec
 from torsionfree.bases import basis_record
-from torsionfree.corpus import generate
-from torsionfree.decomp import _generated_bases
-from torsionfree.groups import GroupError, group_rep
+from torsionfree.corpus import PROFILES, generate
+from torsionfree.decomp import _generated_bases, candidate_vectors
+from torsionfree.groups import GroupError, element_type, group_rep, pure_sum_kind
 from torsionfree.indec import (
+    SICertificate,
     SIVerdict,
     property_si_check,
     strong_decomposability_witness_search,
     typeset_obstruction_certificate,
 )
-from torsionfree.linalg import Subspace
-from torsionfree.quasi import SplitKind, quasi_split_check
+from torsionfree.quasi import SplitKind
 
 
 def G1():
@@ -56,6 +57,35 @@ class TestCertificate:
         a = typeset_obstruction_certificate(G2())
         b = typeset_obstruction_certificate(G2())
         assert a == b
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_early_exit_keeps_the_sampled_answer(self, profile):
+        # the certificate returns None at once without three lines W_p or
+        # with W_ALL != 0; the full sampler must agree on every corpus group
+        for seed in range(40):
+            g = generate(profile, seed, max_rank=2).group
+            if g.rank == 2:
+                assert typeset_obstruction_certificate(g) == sampled_certificate(g), seed
+
+    @settings(max_examples=40, deadline=None)
+    @given(group_reps(max_gens=4))
+    def test_early_exit_keeps_the_sampled_answer_on_random_groups(self, g):
+        if g.rank == 2:
+            assert typeset_obstruction_certificate(g) == sampled_certificate(g)
+
+
+def sampled_certificate(g):
+    """The certificate as sampled before the early exit (a reference copy)."""
+    found = {}
+    for v in candidate_vectors(g, 2):
+        t = element_type(g, v)
+        if t.inverted not in found:
+            found[t.inverted] = (v, t)
+    for trio in itertools.combinations(found, 3):
+        if any(a.is_subset(b) or b.is_subset(a) for a, b in itertools.combinations(trio, 2)):
+            continue
+        return SICertificate(g, tuple(found[s][0] for s in trio), tuple(found[s][1] for s in trio))
+    return None
 
 
 class TestPropertySI:
@@ -126,13 +156,11 @@ class TestWitnessSearch:
         # block spans from different vectors, so the same verdict
         checked = []
 
-        def spy(g, basis, partition):
-            checked.append(
-                frozenset(Subspace.span([basis.elements[i] for i in block], 2) for block in partition.blocks)
-            )
-            return quasi_split_check(g, basis, partition)
+        def spy(g, spans):
+            checked.append(frozenset(spans))
+            return pure_sum_kind(g, spans)
 
-        monkeypatch.setattr(indec, "quasi_split_check", spy)
+        monkeypatch.setattr(indec, "pure_sum_kind", spy)
         result = strong_decomposability_witness_search(G2(), 1)
         assert not result.found
         assert result.bases_searched == 33

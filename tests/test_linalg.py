@@ -351,6 +351,16 @@ class TestRationalLattice:
         assert basis == RationalLattice.from_generators(rows, 3).rows
         assert mat_mul(mat(t), tuple(rows)) == basis
 
+    @given(
+        st.lists(vectors(3, max_num=2, max_den=4), min_size=1, max_size=4),
+        st.lists(vectors(3, max_num=2, max_den=4), min_size=1, max_size=2),
+    )
+    @settings(max_examples=80)
+    def test_intersect_subspace_matches_fraction_constraints(self, gens, span):
+        lat = RationalLattice.from_generators([vec(v) for v in gens], 3)
+        space = Subspace.span([vec(v) for v in span], 3)
+        assert lat.intersect_subspace(space) == fraction_intersect(lat, space)
+
     def test_coordinates_reject_wrong_length(self):
         lat = RationalLattice.from_generators([vec([1, 2])], 2)
         with pytest.raises(ValueError):
@@ -419,3 +429,14 @@ class TestCoordinateMap:
     def test_integer_form_of_mixed_entries(self):
         assert integer_form((Fraction(1, 6), 2, "3/4")) == ((2, 24, 9), 12)
         assert integer_form((0, 0)) == ((0, 0), 1)
+
+
+def fraction_intersect(lat, space):
+    """Reference: the kernel of the Fraction residuals, scaled to integers."""
+    if not lat.rows or space.is_zero():
+        return RationalLattice(lat.ambient_dim, ())
+    constraints = [space.reduce(r) for r in lat.rows]
+    scale = math.lcm(*[e.denominator for r in constraints for e in r])
+    kernel = integer_kernel([[int(e * scale) for e in r] for r in constraints])
+    gens = [[sum(k * r[j] for k, r in zip(row, lat.rows)) for j in range(lat.ambient_dim)] for row in kernel]
+    return RationalLattice.from_generators(gens, lat.ambient_dim)
