@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .groups import (
     Compare,
@@ -23,8 +23,8 @@ from .groups import (
     member,
     pure_sum,
 )
-from .linalg import Subspace, Vec, solve_in_rows, unit_vec, vec, vscale
-from .numutil import divisors
+from .linalg import Subspace, Vec, integer_form, solve_in_rows, unit_vec, vec, vscale
+from .numutil import valuation
 
 
 @dataclass(frozen=True)
@@ -82,20 +82,30 @@ def require_basis(g: GroupRep, basis: BasisRecord) -> None:
 
 
 def _order_mod_group(g: GroupRep, b: Vec) -> int:
-    """Least m >= 1 with m*b in g, for b in [G].
+    """Least m >= 1 with m*b in g, for b in [G], read off g's coordinate maps.
 
-    The multiples of b lying in g form a subgroup of Z, nonzero because
-    clearing the hull-coordinate denominators lands b in the lattice hull;
-    the order is found among the divisors of that clearing factor.
+    Write b = y/d.  Let D be the reduced common denominator of b's
+    coordinates in the untagged map, and D_p the one in the map at each
+    tagged prime p.  m*b lies in g exactly when D/gcd(D, m) is a product of
+    tagged primes and p^v_p(D_p) divides m at each tagged p (the test
+    ``groups.member`` applies to m*b).  So m is D with the tagged primes
+    divided out, times p^v_p(D_p) for each tagged p.
     """
-    coords = g.lattice_hull.coordinates(b)
-    if coords is None:
+    y, d = integer_form(b)
+    untagged = g._untagged_map
+    if not untagged.in_span(y):
         raise SpanMismatch("vector outside the span of the group")
-    clear = lcm(*(c.denominator for c in coords)) if coords else 1
-    for d in divisors(clear):
-        if member(g, vscale(d, b)):
-            return d
-    raise AssertionError("multiple inside the lattice hull escaped the group")
+    u = d * untagged.scale
+    m = u // gcd(u, *untagged.numerators(y))
+    for p in g.tagged_primes:
+        while m % p == 0:
+            m //= p
+    for p in g.tagged_primes:
+        local = g._local_map(p)
+        u = d * local.scale
+        if u % p == 0:
+            m *= p ** valuation(u // gcd(u, *local.numerators(y)), p)
+    return m
 
 
 def minimal_multiplier(g: GroupRep, elements) -> int:

@@ -683,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     def height(default):
         return ("--height", {"type": _int_at_least(1), "default": default})
 
-    oracle = (("--oracle", {"action": "store_true"}), ("--bound", {"type": int}))
+    oracle = (("--oracle", {"action": "store_true"}), ("--bound", {"type": _int_at_least(0)}))
     other = ("other", ("--other-name", {}))
     command("member", _cmd_member, "membership of a vector", "vector", *oracle)
     command("type", _cmd_type, "divisibility type of an element", "vector")

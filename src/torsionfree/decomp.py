@@ -25,10 +25,12 @@ from .groups import (
     Compare,
     GroupError,
     GroupRep,
+    SplitKind,
     compare,
     element_type,
     group_rep,
-    split_hulls,
+    pure_sum_kind,
+    purify,
     subgroup_leq,
 )
 from .linalg import (
@@ -142,10 +144,14 @@ def check_splitting_partition(g: GroupRep, partition: PartitionRecord):
     so the block hulls are purified only for a partition that splits.
     """
     require_basis(g, partition.basis)
-    hulls = split_hulls(g, partition.spans)
-    if hulls is None:
+    if pure_sum_kind(g, partition.spans) is not SplitKind.EXACT:
         return False, None
-    return True, decomposition_record(g, hulls)
+    return True, _split_record(g, partition)
+
+
+def _split_record(g: GroupRep, partition: PartitionRecord) -> DecompositionRecord:
+    """The decomposition of g into the hulls of a partition known to split."""
+    return decomposition_record(g, tuple(purify(g, space) for space in partition.spans))
 
 
 def set_partitions(t: int, max_blocks: int | None = None):
@@ -179,22 +185,28 @@ def set_partitions(t: int, max_blocks: int | None = None):
             a[j] = 0
 
 
-def enumerate_splitting_partitions(
-    g: GroupRep, basis: BasisRecord, max_blocks: int
-):
-    """All proper partitions of the basis into <= max_blocks blocks that split."""
+def _exact_partitions(g: GroupRep, basis: BasisRecord, max_blocks: int):
+    """The proper partitions of the basis into <= max_blocks blocks that split g.
+
+    The verdicts come from the block projections alone; no hull is built.
+    """
     t = len(basis.elements)
     if t > _RANK_LIMIT:
         raise GroupError("rank %d exceeds the partition-enumeration limit" % t)
-    out = []
+    require_basis(g, basis)
     for blocks in set_partitions(t, max_blocks):
         if len(blocks) < 2:
             continue
         partition = PartitionRecord(basis, blocks)
-        ok, record = check_splitting_partition(g, partition)
-        if ok:
-            out.append((partition, record))
-    return out
+        if pure_sum_kind(g, partition.spans) is SplitKind.EXACT:
+            yield partition
+
+
+def enumerate_splitting_partitions(
+    g: GroupRep, basis: BasisRecord, max_blocks: int
+):
+    """All proper partitions of the basis into <= max_blocks blocks that split."""
+    return [(p, _split_record(g, p)) for p in _exact_partitions(g, basis, max_blocks)]
 
 
 def candidate_vectors(g: GroupRep, height_bound: int) -> tuple[Vec, ...]:
@@ -252,17 +264,14 @@ def complete_decomposition_search(
     results: list[DecompositionRecord] = []
     seen = set()
     for basis in itertools.chain(given_bases, _generated_bases(g, height_bound)):
-        found = enumerate_splitting_partitions(g, basis, max_blocks=max_blocks)
-        maximal = [
-            record
-            for partition, record in found
-            if not any(
-                other.blocks != partition.blocks
-                and _refines(other.blocks, partition.blocks)
-                for other, _r in found
-            )
-        ]
-        for record in maximal:
+        found = list(_exact_partitions(g, basis, max_blocks))
+        for partition in found:
+            if any(
+                other.blocks != partition.blocks and _refines(other.blocks, partition.blocks)
+                for other in found
+            ):
+                continue
+            record = _split_record(g, partition)
             key = tuple(sorted(s.key() for s in record.summands))
             if key not in seen:
                 seen.add(key)

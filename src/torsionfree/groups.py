@@ -19,6 +19,11 @@ span), no coordinate denominator of the map at a tagged prime p is
 divisible by p, and the untagged map's coordinate denominators are products
 of tagged primes.  Deciding this takes one lcm, integer dot products and
 gcds, with no rational arithmetic and no factoring.
+
+Finite quotients read the same maps as membership: the p-part of G/A is the
+Smith form of the coordinates of A's hull rows in G's map at p, and the
+image of an element is its coordinates in that map.  Quasi-equality
+(``quasi``) and minimal multipliers (``bases``) read the maps too.
 """
 
 from __future__ import annotations
@@ -389,15 +394,15 @@ def _tidy(gens: list[Generator], ambient: int) -> list[Generator]:
     return [(row, NO_PRIMES) for row in merged.rows] + tagged
 
 
-def _lattice_index(outer: RationalLattice, inner: RationalLattice) -> Fraction:
-    """[outer : inner] for lattices of one span: Hermite bases of one span
-    share pivot columns, so the index is the ratio of the pivot products."""
+def _index_primes(outer: RationalLattice, inner: RationalLattice) -> set[int]:
+    """The primes in [outer : inner] for lattices of one span: Hermite bases of
+    one span share pivot columns, so the index is the ratio of the pivot products."""
     if outer.pivots != inner.pivots:
         raise ValueError("the lattices do not span the same subspace")
     index = Fraction(1)
     for r_in, r_out, j in zip(inner.rows, outer.rows, outer.pivots):
         index *= r_in[j] / r_out[j]
-    return abs(index)
+    return set(primes_dividing(index.numerator)) | set(primes_dividing(index.denominator))
 
 
 def _all_pattern_gap_primes(g: GroupRep, u: Subspace, seed: RationalLattice):
@@ -411,23 +416,17 @@ def _all_pattern_gap_primes(g: GroupRep, u: Subspace, seed: RationalLattice):
     """
     w = g.divisible_all_directions
     if w.dim == 0:
-        return ()
+        return set()
     pi_u = Subspace.span([w.reduce(r) for r in u.rows], g.ambient_dim)
     lam = g.reduced_hull.intersect_subspace(pi_u)
     if lam.rank == 0:
-        return ()
+        return set()
     pi_m = RationalLattice.from_generators(
         [w.reduce(r) for r in seed.rows], g.ambient_dim
     )
     if pi_m.rank != lam.rank:
         raise RuntimeError("seed lattice lost rank under the ALL reduction")
-    index = _lattice_index(lam, pi_m)
-    return tuple(
-        sorted(
-            set(primes_dividing(index.numerator))
-            | set(primes_dividing(index.denominator))
-        )
-    )
+    return _index_primes(lam, pi_m)
 
 
 def purify(g: GroupRep, subspace: Subspace) -> GroupRep:
@@ -514,7 +513,7 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
         gens.extend((row, ALL) for row in inner.rows)
 
     # at an untagged prime with W_ALL = 0 the seed is already pure
-    primes = sorted(set(g.tagged_primes) | set(_all_pattern_gap_primes(g, u, seed)))
+    primes = sorted(set(g.tagged_primes) | _all_pattern_gap_primes(g, u, seed))
 
     current = group_rep(g.ambient_dim, _tidy(gens, g.ambient_dim))
     for _round in range(256):
@@ -619,9 +618,8 @@ class FiniteQuotient:
     def __init__(self, g: GroupRep, a: GroupRep, parts):
         self.group = g
         self.subgroup = a
-        # parts: list of (p, [(exp, basis_index)...], W_p, lattice, V, sections)
-        # with exponents sorted descending within each prime; see
-        # _quotient_part_at.
+        # parts: list of (p, [(exp, basis_index)...], V, sections) with
+        # exponents sorted descending within each prime; see _quotient_part_at.
         self._parts = parts
         depth = max((len(exps) for _p, exps, *_rest in parts), default=0)
         descending = []
@@ -641,18 +639,20 @@ class FiniteQuotient:
 
     def image(self, x) -> tuple[int, ...]:
         """Image of x (an element of G) as a tuple modulo the invariant factors."""
-        x = vec(x)
+        y, d = integer_form(x)
+        if len(y) != self.group.ambient_dim:
+            raise ValueError("vector length mismatch")
         k = len(self.invariant_factors)
         per_prime: dict[int, list[int]] = {}
-        for p, exps, w, lattice, v, _sections in self._parts:
-            coords = lattice.coordinates(w.reduce(x))
-            if coords is None:
+        for p, exps, v, _sections in self._parts:
+            local = self.group._local_map(p)
+            if not local.in_span(y):
                 raise GroupError("vector outside the group span")
-            # coordinates in the Smith basis V^-1 * lattice.rows
-            coords = apply_matrix(coords, v)
+            # x's coordinates c in G's map at p; c * V is x in the Smith basis
+            nums = local.numerators(y)
             vals = []
             for exp, idx in exps:
-                q = coords[idx]
+                q = Fraction(sum(n * row[idx] for n, row in zip(nums, v)), d * local.scale)
                 if q.denominator % p == 0:
                     raise GroupError("vector is not in the group (p-local escape)")
                 pe = p**exp
@@ -743,9 +743,7 @@ def _finite_quotient_parts(g: GroupRep, a: GroupRep):
     if l_g.rank != l_a.rank:
         raise RuntimeError("rank mismatch after divisible reduction")
     if l_g.rank:
-        index = _lattice_index(l_g, l_a)
-        relevant.update(primes_dividing(index.numerator))
-        relevant.update(primes_dividing(index.denominator))
+        relevant |= _index_primes(l_g, l_a)
     parts = []
     for p in sorted(relevant):
         part = _quotient_part_at(g, a, p)
@@ -754,34 +752,41 @@ def _finite_quotient_parts(g: GroupRep, a: GroupRep):
     return parts
 
 
+def _coordinate_smith(local: CoordinateMap, rows):
+    """(s, d, V) for rows spanning the lattice of a coordinate map modulo its W.
+
+    s is the least common denominator of the rows' coordinates, and d and V
+    are the invariant factors and the column transform of the Smith form of
+    s times the coordinate matrix.
+    """
+    scaled = []
+    for y, den in map(integer_form, rows):
+        if not local.in_span(y):
+            raise RuntimeError("a row escapes the span of the coordinate map")
+        scaled.append((local.numerators(y), den * local.scale))
+    s = lcm(*(u // gcd(u, *nums) for nums, u in scaled))
+    d, _u, v = smith_normal_form([[e * s // u for e in nums] for nums, u in scaled])
+    if len(d) != len(local.columns):
+        raise RuntimeError("the rows do not span the lattice of the coordinate map")
+    return s, d, v
+
+
 def _quotient_part_at(g: GroupRep, a: GroupRep, p: int):
     """The p-primary part of G/A: exponents, a solving basis, and sections.
 
-    Works modulo W_p: the transition matrix between the reduced lattice hulls
-    is p-integral, and its Smith form U * M * V diagonalizes the quotient's
-    p-part in the basis V^-1 * B, where B is the Hermite basis of G's reduced
-    hull.  Coordinates c in B become c * V in that basis.  The sections are
-    elements of G's lattice hull realizing the cyclic summands.
+    Works modulo W_p, in the basis B of G's lattice at p (``_plocal_data``),
+    where G's coordinate map at p reads off the coordinates of A's hull rows.
+    That transition matrix is p-integral, and its Smith form U * M * V
+    diagonalizes the quotient's p-part in the basis V^-1 * B.  Coordinates c
+    in B become c * V in that basis.  The sections are elements of G's
+    lattice hull realizing the cyclic summands.
     """
-    w = g.divisible_directions(p)
-    hull = g.lattice_hull.rows
-    basis, transform = hermite_basis([w.reduce(r) for r in hull])
-    if not basis:
+    local = g._local_map(p)
+    if not local.columns:
         return None
-    lattice = RationalLattice(g.ambient_dim, basis)
-    coord_rows = []
-    for r in a.lattice_hull.rows:
-        c = lattice.coordinates(w.reduce(r))
-        if c is None:
-            raise RuntimeError("subgroup hull escapes the group hull span")
-        coord_rows.append(c)
-    denom = lcm(*[e.denominator for r in coord_rows for e in r])
+    denom, d, v = _coordinate_smith(local, a.lattice_hull.rows)
     if denom % p == 0:
         raise RuntimeError("p-local transition has p in a denominator")
-    int_rows = [[int(e * denom) for e in r] for r in coord_rows]
-    d, _u, v = smith_normal_form(int_rows)
-    if len(d) != len(basis):
-        raise RuntimeError("p-local transition is singular")
     exps = []
     for i, di in enumerate(d):
         e = valuation(di, p) if di % p == 0 else 0
@@ -790,9 +795,13 @@ def _quotient_part_at(g: GroupRep, a: GroupRep, p: int):
     if not exps:
         return None
     exps.sort(key=lambda t: -t[0])
-    # the section of basis row i of V^-1 * B is row i of V^-1 * T * hull
+    # B is the Hermite basis T * (hull mod W_p), so the section of basis row
+    # i of V^-1 * B is row i of V^-1 * T * hull
+    w = g._plocal_data(p)[0]
+    hull = g.lattice_hull.rows
+    _basis, transform = hermite_basis([w.reduce(r) for r in hull])
     v_inv = mat_inverse(mat(v))
     sections = tuple(
         apply_matrix(apply_matrix(v_inv[i], transform), hull) for _e, i in exps
     )
-    return (p, exps, w, lattice, v, sections)
+    return (p, exps, v, sections)

@@ -32,7 +32,6 @@ from .decomp import (
     _RANK_LIMIT,
     _generated_bases,
     candidate_vectors,
-    check_splitting_partition,
     set_partitions,
 )
 from .groups import (
@@ -88,7 +87,7 @@ def property_si_check(g: GroupRep, basis: BasisRecord) -> SIReport:
     witness: PartitionRecord | QuotientDescription | None = None
     for blocks in _two_block_blockings(len(basis.elements)):
         partition = PartitionRecord(basis, blocks)
-        ok, _record = check_splitting_partition(g, partition)
+        ok = pure_sum_kind(g, partition.spans) is SplitKind.EXACT
         attempts.append((partition, ok))
         if ok and witness is None:
             witness = partition

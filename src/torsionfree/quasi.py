@@ -1,25 +1,26 @@
 """Quasi-equality and quasi-splitting.
 
 Two groups with the same rational span are commensurable when each scales
-into the other by a positive integer; they are strictly quasi-equal when a
-single rational r makes r*H literally equal to G.  Both witnesses here are
-found by complete searches, so a None answer is a definite "no", not a
-scope limit.
+into the other by a positive integer.  The least such pair (a, b), with
+a*H <= G and b*G <= H, is the pair of quotient exponents of (G+H)/G and
+(G+H)/H, because d*H <= G exactly when d kills (G+H)/G.  The groups are
+strictly quasi-equal when a single rational r makes r*H literally equal to
+G.  Neither answer is a bounded search, so a None answer is a definite
+"no", not a scope limit.
 
 The strict witness is pinned down prime by prime: if r*H = G then, locally
-at p, the coordinate matrix of G's reduced lattice in H's must have all its
-elementary divisors at the same p-valuation, and that common valuation is
-v_p(r).  Scanning the tagged primes (plus one untagged stand-in for all the
-rest) either forces a unique candidate or proves none exists.  The candidate
-is then re-verified with compare, so the answer never rests on the
-derivation alone.
+at p, the coordinate matrix of G's reduced lattice in H's (read off H's
+coordinate map at p) must have all its elementary divisors at the same
+p-valuation, and that common valuation is v_p(r).  Scanning the tagged
+primes (plus one untagged stand-in for all the rest) either forces a unique
+candidate or proves none exists.  The candidate is then re-verified with
+compare, so the answer never rests on the derivation alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .bases import BasisRecord, require_basis
 from .decomp import DecompositionRecord, PartitionRecord, apply_span_matrix, automorphism_check, decomposition_record
@@ -28,16 +29,15 @@ from .groups import (
     GroupRep,
     QuotientDescription,
     SplitKind,
+    _coordinate_smith,
     compare,
     index_and_quotient,
     pure_sum,
     scale_group,
-    subgroup_leq,
     sum_groups,
 )
-from .linalg import Mat, RationalLattice, mat, mat_inverse
-from .numutil import divisors, next_prime, valuation
-from .linalg import smith_normal_form
+from .linalg import Mat, mat, mat_inverse
+from .numutil import next_prime, valuation
 
 
 @dataclass(frozen=True)
@@ -51,33 +51,6 @@ class QuasiWitness:
 
     ratio: Fraction | None = None
     pair: tuple[int, int] | None = None
-
-
-def _coordinate_factors(hlat: RationalLattice, glat: RationalLattice):
-    """Invariant factors of the coordinate matrix of glat's basis over hlat's.
-
-    Returns (sigma, factors) where sigma clears denominators, or None when
-    the two lattices do not span the same space.
-    """
-    if hlat.rank != glat.rank:
-        return None
-    if not hlat.rank:
-        return 1, ()
-    coords = []
-    for row in glat.rows:
-        c = hlat.coordinates(row)
-        if c is None:
-            return None
-        coords.append(c)
-    sigma = 1
-    for c in coords:
-        for e in c:
-            sigma = lcm(sigma, e.denominator)
-    entries = [[int(e * sigma) for e in c] for c in coords]
-    d, _, _ = smith_normal_form(entries)
-    if len(d) != hlat.rank:
-        return None
-    return sigma, d
 
 
 def _without_primes(q: Fraction, primes) -> Fraction:
@@ -110,12 +83,8 @@ def quasi_equal_strict(h: GroupRep, g: GroupRep) -> QuasiWitness | None:
     while fresh in tagged:
         fresh = next_prime(fresh)
     for p in (*tagged, fresh):
-        _, hlat = h._plocal_data(p)
-        _, glat = g._plocal_data(p)
-        got = _coordinate_factors(hlat, glat)
-        if got is None:
-            return None
-        sigma, factors = got
+        # G's lattice at p in H's basis: both are taken modulo the shared W_p
+        sigma, factors, _v = _coordinate_smith(h._local_map(p), g._plocal_data(p)[1].rows)
         if not factors:
             continue
         ratios = [Fraction(d, sigma) for d in factors]
@@ -137,18 +106,12 @@ def quasi_equal_strict(h: GroupRep, g: GroupRep) -> QuasiWitness | None:
     return None
 
 
-def _least_scaling_into(h: GroupRep, g: GroupRep, bound: int) -> int:
-    for d in divisors(bound):
-        if subgroup_leq(scale_group(h, d), g):
-            return d
-    raise AssertionError("quotient exponent failed to scale the group in")
-
-
 def commensurable(h: GroupRep, g: GroupRep) -> QuasiWitness | None:
     """Minimal (a, b) with a*H <= G and b*G <= H, or None.
 
     Present exactly when the two groups share a span and each has finite
-    index in their sum.
+    index in their sum.  Since d*H <= G iff d kills (G+H)/G, a is the
+    exponent of that quotient, and b likewise the exponent of (G+H)/H.
     """
     if h.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -161,9 +124,7 @@ def commensurable(h: GroupRep, g: GroupRep) -> QuasiWitness | None:
     into_h = index_and_quotient(total, h)
     if not into_h.is_finite:
         return None
-    a = _least_scaling_into(h, g, into_g.quotient.exponent)
-    b = _least_scaling_into(g, h, into_h.quotient.exponent)
-    return QuasiWitness(pair=(a, b))
+    return QuasiWitness(pair=(into_g.quotient.exponent, into_h.quotient.exponent))
 
 
 def quasi_automorphism_check(g: GroupRep, m: Mat) -> tuple[Fraction, Mat] | None:

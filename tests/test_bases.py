@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strategies import nonzero_group_reps
+from strategies import nonzero_group_reps, small_fractions
 from torsionfree import bases, decomp, indec, quasi
 from torsionfree.bases import (
     b_representation,
@@ -25,7 +27,8 @@ from torsionfree.groups import (
     subgroup_leq,
 )
 from torsionfree.indec import property_si_check, strong_decomposability_witness_search
-from torsionfree.linalg import solve_in_rows, vec, vscale
+from torsionfree.linalg import solve_in_rows, vadd, vec, vscale
+from torsionfree.numutil import divisors
 
 
 def G1():
@@ -110,6 +113,23 @@ class TestMinimalMultiplier:
             if m % d:
                 continue
             assert not all(member(g, vscale(d, vec(b))) for b in elems)
+
+
+def divisor_search_order(g, b):
+    """The least m >= 1 with m*b in g, among the divisors of b's hull-coordinate clearing factor."""
+    clear = lcm(*(c.denominator for c in g.lattice_hull.coordinates(b)))
+    return next(d for d in divisors(clear) if member(g, vscale(d, b)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonzero_group_reps(), st.lists(small_fractions(), min_size=3, max_size=3))
+def test_order_matches_the_divisor_search(g, coeffs):
+    # a rational combination of the generators lies in [G]
+    b = vec((0, 0))
+    for c, (v, _s) in zip(coeffs, g.generators):
+        b = vadd(b, vscale(c, v))
+    if any(b):
+        assert bases._order_mod_group(g, b) == divisor_search_order(g, b)
 
 
 class TestBRepresentation:

@@ -90,8 +90,10 @@ class TestExitCodes:
             ["regulating", "g3.grp", "--height", "0"],
             ["decompose", "g1.grp", "--max-blocks", "1"],
             ["verify", "g3.grp", "--count", "-3"],
+            ["member", "g3.grp", "--bound", "-1", "(1,0)", "--oracle"],
+            ["purify", "g3.grp", "--bound", "-1", "(1,0)", "--oracle"],
         ],
-        ids=["height-negative", "height-zero", "max-blocks", "count"],
+        ids=["height-negative", "height-zero", "max-blocks", "count", "member-bound", "purify-bound"],
     )
     def test_nonsense_search_bound_is_one(self, capsys, argv):
         argv = [argv[0], str(DATA / argv[1]), *argv[2:]]
@@ -158,6 +160,15 @@ class TestLargeNumbers:
         done = run_cli(["type", str(path), "(1,0)"], timeout=20)
         assert done.returncode == 0
         assert done.stdout == "type: 1/1000000000000000000000000000057 Z\n"
+
+    def test_minmul_of_a_31_digit_multiplier(self, tmp_path):
+        p = 10**30 + 57
+        path = tmp_path / "bigm.grp"
+        path.write_text(f"group bigm ambient 2\ngen [1/{p}, 0] inv {{}}\ngen [0, 1] inv {{}}\n")
+        basis = f"(1/{p * p}, 0); (0, 1)"
+        done = run_cli(["minmul", str(path), "--basis", basis], timeout=20)
+        assert done.returncode == 0
+        assert done.stdout == "minimal multiplier: 1000000000000000000000000000057\n"
 
     def test_uncertified_prime_in_prime_set_is_one(self, tmp_path):
         path = tmp_path / "bigp.grp"

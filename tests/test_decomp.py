@@ -212,6 +212,22 @@ class TestCompleteDecompositionSearch:
         keys = [tuple(sorted(s.key() for s in r.summands)) for r in found]
         assert len(keys) == len(set(keys))
 
+    def test_only_returned_summands_are_purified(self, monkeypatch):
+        # splitting partitions that refine another one are dropped unpurified
+        g = Z(3)
+        purified = []
+
+        def spy(group, space):
+            if group is g:
+                purified.append(space)
+            return purify(group, space)
+
+        monkeypatch.setattr("torsionfree.groups.purify", spy)
+        monkeypatch.setattr("torsionfree.decomp.purify", spy)
+        found = complete_decomposition_search(g, height_bound=1)
+        spans = {s.span for record in found for s in record.summands}
+        assert purified and set(purified) <= spans
+
 
 class TestCandidateVectors:
     def test_members_and_canonical_sign(self):

@@ -4,18 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import nonzero_group_reps
+from strategies import nonzero_group_reps, small_fractions
 from torsionfree.bases import basis_record
 from torsionfree.decomp import partition_record
 from torsionfree.groups import (
     Compare,
     compare,
     group_rep,
+    index_and_quotient,
     purify,
     scale_group,
     subgroup_leq,
+    sum_groups,
 )
-from torsionfree.linalg import Subspace, identity_matrix, vec
+from torsionfree.linalg import Subspace, identity_matrix, vec, vscale
+from torsionfree.numutil import divisors
 from torsionfree.quasi import (
     SplitKind,
     commensurable,
@@ -96,6 +99,24 @@ class TestCommensurable:
 
     def test_infinite_index_is_none(self):
         assert commensurable(G1(), Z2()) is None
+
+
+def least_scaling_into(h, g, bound):
+    return next(d for d in divisors(bound) if subgroup_leq(scale_group(h, d), g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_group_reps(), st.lists(small_fractions(), min_size=3, max_size=3))
+def test_commensurable_pair_is_the_least_scaling(g, coeffs):
+    # rescaling each generator keeps the span; the pair is then checked
+    # against a search over the divisors of the quotient exponents
+    h = group_rep(2, [(vscale(c or 1, v), s) for c, (v, s) in zip(coeffs, g.generators)])
+    w = commensurable(h, g)
+    if w is not None:
+        total = sum_groups(h, g)
+        a = least_scaling_into(h, g, index_and_quotient(total, g).quotient.exponent)
+        b = least_scaling_into(g, h, index_and_quotient(total, h).quotient.exponent)
+        assert w.pair == (a, b)
 
 
 class TestPurityRigidity:

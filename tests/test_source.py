@@ -33,6 +33,50 @@ def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _references(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """Names read as ast.Name ids or ast.Attribute attrs, outside the subtree skip."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def dead_private_helpers(sources: dict[str, str], module: str) -> list[str]:
+    """Top-level _-prefixed functions and classes of module that no source references."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    dead = []
+    for node in trees[module].body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        if not any(node.name in _references(tree, node) for tree in trees.values()):
+            dead.append(node.name)
+    return dead
+
+
+def test_detects_a_dead_private_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead():\n    return _dead()\n\nclass _Gone:\n    pass\n",
+        "b": "from a import _used\n_used()\n",
+    }
+    assert dead_private_helpers(sources, "a") == ["_dead", "_Gone"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_private_helpers(path):
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert dead_private_helpers(sources, path.name) == []
+
+
 def tracer_targets():
     """(module, attribute path) pairs that perfbench/tracer.py wraps with --trace 1."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
