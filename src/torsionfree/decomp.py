@@ -68,9 +68,8 @@ class PartitionRecord:
     @cached_property
     def spans(self) -> tuple[Subspace, ...]:
         """The span of each block's basis elements, in block order."""
-        elems = self.basis.elements
-        dim = self.basis.group.ambient_dim
-        return tuple(Subspace.span([elems[i] for i in block], dim) for block in self.blocks)
+        rows = [[b] for b in self.basis.elements]
+        return block_spans(self.basis.group.ambient_dim, rows, self.blocks)
 
 
 @dataclass(frozen=True)
@@ -146,12 +145,12 @@ def check_splitting_partition(g: GroupRep, partition: PartitionRecord):
     require_basis(g, partition.basis)
     if pure_sum_kind(g, partition.spans) is not SplitKind.EXACT:
         return False, None
-    return True, _split_record(g, partition)
+    return True, _split_record(g, partition.spans)
 
 
-def _split_record(g: GroupRep, partition: PartitionRecord) -> DecompositionRecord:
-    """The decomposition of g into the hulls of a partition known to split."""
-    return decomposition_record(g, tuple(purify(g, space) for space in partition.spans))
+def _split_record(g: GroupRep, spans) -> DecompositionRecord:
+    """The decomposition of g into the hulls of block spans known to split it."""
+    return decomposition_record(g, tuple(purify(g, space) for space in spans))
 
 
 def set_partitions(t: int, max_blocks: int | None = None):
@@ -185,28 +184,57 @@ def set_partitions(t: int, max_blocks: int | None = None):
             a[j] = 0
 
 
-def _exact_partitions(g: GroupRep, basis: BasisRecord, max_blocks: int):
-    """The proper partitions of the basis into <= max_blocks blocks that split g.
+def block_spans(dim: int, item_rows, blocks) -> tuple[Subspace, ...]:
+    """The span of each block's pieces, in block order; piece i spans item_rows[i]."""
+    return tuple(Subspace.span([row for i in block for row in item_rows[i]], dim) for block in blocks)
 
-    The verdicts come from the block projections alone; no hull is built.
+
+def exact_groupings(g: GroupRep, item_rows, max_blocks: int):
+    """Groupings of independent pieces into 2..max_blocks blocks whose pure
+    hulls sum to g exactly, as (blocks, block spans) in ``set_partitions`` order.
+
+    Piece i spans item_rows[i], and the pieces together span [g].  The
+    verdicts come from the block projections alone; no hull is built.
     """
+    for blocks in set_partitions(len(item_rows), max_blocks):
+        if len(blocks) < 2:
+            continue
+        spans = block_spans(g.ambient_dim, item_rows, blocks)
+        if pure_sum_kind(g, spans) is SplitKind.EXACT:
+            yield blocks, spans
+
+
+def finest_groupings(groupings) -> list:
+    """The (blocks, spans) pairs whose blocks no other pair's blocks refine, in order."""
+    groupings = list(groupings)
+    return [
+        (blocks, spans)
+        for blocks, spans in groupings
+        if not any(other != blocks and _refines(other, blocks) for other, _s in groupings)
+    ]
+
+
+def _refines(fine, coarse) -> bool:
+    return all(any(set(b).issubset(set(c)) for c in coarse) for b in fine)
+
+
+def _basis_groupings(g: GroupRep, basis: BasisRecord, max_blocks: int):
+    """The exact groupings of a basis's elements, after the rank limit and the basis check."""
     t = len(basis.elements)
     if t > _RANK_LIMIT:
         raise GroupError("rank %d exceeds the partition-enumeration limit" % t)
     require_basis(g, basis)
-    for blocks in set_partitions(t, max_blocks):
-        if len(blocks) < 2:
-            continue
-        partition = PartitionRecord(basis, blocks)
-        if pure_sum_kind(g, partition.spans) is SplitKind.EXACT:
-            yield partition
+    return exact_groupings(g, [[b] for b in basis.elements], max_blocks)
 
 
 def enumerate_splitting_partitions(
     g: GroupRep, basis: BasisRecord, max_blocks: int
 ):
     """All proper partitions of the basis into <= max_blocks blocks that split."""
-    return [(p, _split_record(g, p)) for p in _exact_partitions(g, basis, max_blocks)]
+    return [
+        (PartitionRecord(basis, blocks), _split_record(g, spans))
+        for blocks, spans in _basis_groupings(g, basis, max_blocks)
+    ]
 
 
 def candidate_vectors(g: GroupRep, height_bound: int) -> tuple[Vec, ...]:
@@ -243,12 +271,6 @@ def _generated_bases(g: GroupRep, height_bound: int):
             yield BasisRecord(g, combo)
 
 
-def _refines(fine, coarse) -> bool:
-    return all(
-        any(set(b).issubset(set(c)) for c in coarse) for b in fine
-    )
-
-
 def complete_decomposition_search(
     g: GroupRep, given_bases=(), height_bound: int = 1, max_blocks: int | None = None
 ) -> tuple[DecompositionRecord, ...]:
@@ -264,14 +286,8 @@ def complete_decomposition_search(
     results: list[DecompositionRecord] = []
     seen = set()
     for basis in itertools.chain(given_bases, _generated_bases(g, height_bound)):
-        found = list(_exact_partitions(g, basis, max_blocks))
-        for partition in found:
-            if any(
-                other.blocks != partition.blocks and _refines(other.blocks, partition.blocks)
-                for other in found
-            ):
-                continue
-            record = _split_record(g, partition)
+        for _blocks, spans in finest_groupings(_basis_groupings(g, basis, max_blocks)):
+            record = _split_record(g, spans)
             key = tuple(sorted(s.key() for s in record.summands))
             if key not in seen:
                 seen.add(key)

@@ -486,14 +486,6 @@ def pure_sum_kind(g: GroupRep, spaces) -> SplitKind:
     return SplitKind.EXACT if exact else SplitKind.QUASI
 
 
-def split_hulls(g: GroupRep, spaces) -> tuple[GroupRep, ...] | None:
-    """The pure hulls of the spaces when they sum to g exactly, else None."""
-    spaces = tuple(spaces)
-    if pure_sum_kind(g, spaces) is not SplitKind.EXACT:
-        return None
-    return tuple(purify(g, space) for space in spaces)
-
-
 def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
     u = subspace.intersect(g.span)
     if u.dim == 0:
@@ -711,9 +703,13 @@ def index_and_quotient(g: GroupRep, a: GroupRep) -> QuotientDescription:
                 "infinite", prime=p, direction=_direction_witness(g, wg, wa)
             )
     if g.divisible_all_directions != a.divisible_all_directions:
-        used = set(g.active_primes) | set(a.active_primes)
+        # the least prime tagged in neither group and dividing no lattice-hull
+        # entry (the least one outside both groups' active primes), found
+        # without factoring the entries
+        tagged = set(g.tagged_primes) | set(a.tagged_primes)
+        entries = [e for h in (g, a) for row in h.lattice_hull.rows for e in row if e]
         p = 2
-        while p in used:
+        while p in tagged or any(e.numerator % p == 0 or e.denominator % p == 0 for e in entries):
             p = next_prime(p)
         witness = _direction_witness(
             g, g.divisible_all_directions, a.divisible_all_directions

@@ -18,7 +18,16 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .decomp import apply_span_matrix, automorphism_check, candidate_vectors, set_partitions, span_matrix_image
+from .decomp import (
+    apply_span_matrix,
+    automorphism_check,
+    block_spans,
+    candidate_vectors,
+    exact_groupings,
+    finest_groupings,
+    set_partitions,
+    span_matrix_image,
+)
 from .groups import (
     FiniteQuotient,
     GroupError,
@@ -31,7 +40,6 @@ from .groups import (
     pure_sum,
     pure_sum_kind,
     purify,
-    split_hulls,
     subgroup_leq,
 )
 from .linalg import Mat, Subspace, Vec, mat
@@ -113,25 +121,16 @@ def jonsson_basis_from_summands(g: GroupRep, candidates) -> JonssonBasis:
     return JonssonBasis(g, flagged, description.quotient)
 
 
-def _block_span(a: JonssonBasis, block) -> Subspace:
-    """The span of the summands in the block."""
-    rows = [row for i in block for row in a.summand_groups[i].span.rows]
-    return Subspace.span(rows, a.group.ambient_dim)
-
-
-def _groupings(t: int, max_blocks: int):
-    """Proper groupings of t summands into at most max_blocks blocks, fewest blocks first."""
-    return sorted((b for b in set_partitions(t, max_blocks) if len(b) >= 2), key=len)
+def _summand_rows(a: JonssonBasis):
+    """The spanning rows of each summand: the pieces that groupings regroup."""
+    return [s.span.rows for s in a.summand_groups]
 
 
 def splitting_decompositions_of(a: JonssonBasis, max_blocks: int):
-    """Proper summand groupings whose purified block sums rebuild G exactly."""
-    out = []
-    for blocks in _groupings(len(a.summands), max_blocks):
-        hulls = split_hulls(a.group, (_block_span(a, block) for block in blocks))
-        if hulls is not None:
-            out.append((blocks, hulls))
-    return out
+    """Proper summand groupings whose purified block sums rebuild G exactly,
+    fewest blocks first."""
+    found = sorted(exact_groupings(a.group, _summand_rows(a), max_blocks), key=lambda f: len(f[0]))
+    return [(blocks, tuple(purify(a.group, span) for span in spans)) for blocks, spans in found]
 
 
 def _quotient_subgroup(q: FiniteQuotient, generators) -> frozenset:
@@ -188,12 +187,15 @@ def lift_quotient_decomposition(g: GroupRep, a: JonssonBasis, u_generators, w_ge
         raise ValueError("the given images are not a direct decomposition of the quotient")
 
     searched = 0
-    for blocks in _groupings(len(a.summands), 2):
-        searched += 1
-        hulls = split_hulls(a.group, (_block_span(a, block) for block in blocks))
-        if hulls is None:
+    rows = _summand_rows(a)
+    for blocks in set_partitions(len(rows), 2):
+        if len(blocks) < 2:
             continue
-        b_hull, c_hull = hulls
+        searched += 1
+        spans = block_spans(a.group.ambient_dim, rows, blocks)
+        if pure_sum_kind(a.group, spans) is not SplitKind.EXACT:
+            continue
+        b_hull, c_hull = (purify(a.group, span) for span in spans)
         if _image_subgroup(a, b_hull) == u and _image_subgroup(a, c_hull) == w:
             images = tuple(
                 tuple(q.image(v) for v, _s in hull.generators) for hull in (b_hull, c_hull)
@@ -296,48 +298,35 @@ def kernel_check(g: GroupRep, a: JonssonBasis, alpha: Mat) -> bool:
 
 
 def unrefinable_quotient_decompositions(g: GroupRep, a: JonssonBasis):
-    """Terminal states of recursive exact block refinement.
+    """The maximal exact groupings of the summands: the unrefinable liftable
+    decompositions of the quotient, in sorted order.
 
-    Starting from the one-block grouping, a block may be replaced by two
-    sub-blocks whenever its hull splits exactly as the sum of theirs; the
-    returned reports are the groupings no such step refines further, i.e.
-    the unrefinable liftable decompositions of the quotient.
+    These are the terminal states of recursive exact block refinement, which
+    starts from the one-block grouping and replaces a block by two sub-blocks
+    whenever its hull is the direct sum of theirs:
+
+    - merging blocks of an exact grouping keeps it exact, since an element
+      of a merged block's hull is a sum over G's summands whose parts outside
+      the block lie in independent spans and so vanish; the merged hull is
+      the direct sum of its parts' hulls;
+    - so exact binary refinement from the one block reaches every exact
+      grouping, and a block splits exactly iff some finer exact grouping
+      refines it.
+
+    The terminal states are therefore the exact groupings no other refines,
+    or the one block when no proper grouping is exact.
     """
     if a.quotient.order == 1:
         raise ValueError("the quotient is trivial")
     t = len(a.summands)
-    terminal: dict[tuple[tuple[int, ...], ...], None] = {}
-    start = (tuple(range(t)),)
-    stack = [start]
-    visited = {start}
-    while stack:
-        state = stack.pop()
-        refined = False
-        for which, block in enumerate(state):
-            if len(block) < 2:
-                continue
-            # the hulls of the halves' spans are the same in the block's hull
-            # as in G, so the block splits iff they sum to its hull
-            hull = purify(a.group, _block_span(a, block))
-            for halves in set_partitions(len(block), 2):
-                if len(halves) < 2:
-                    continue
-                left, right = (tuple(block[i] for i in half) for half in halves)
-                spans = (_block_span(a, left), _block_span(a, right))
-                if pure_sum_kind(hull, spans) is not SplitKind.EXACT:
-                    continue
-                refined = True
-                nxt = tuple(
-                    sorted((*(b for i, b in enumerate(state) if i != which), left, right))
-                )
-                if nxt not in visited:
-                    visited.add(nxt)
-                    stack.append(nxt)
-        if not refined:
-            terminal[tuple(sorted(state))] = None
+    rows = _summand_rows(a)
+    finest = finest_groupings(exact_groupings(a.group, rows, t))
+    if not finest:
+        one = (tuple(range(t)),)
+        finest = [(one, block_spans(a.group.ambient_dim, rows, one))]
     out = []
-    for blocks in sorted(terminal):
-        hulls, _total = pure_sum(a.group, (_block_span(a, block) for block in blocks))
+    for blocks, spans in sorted(finest, key=lambda f: f[0]):
+        hulls = tuple(purify(a.group, span) for span in spans)
         images = tuple(
             tuple(a.quotient.image(v) for v, _s in hull.generators) for hull in hulls
         )

@@ -12,11 +12,12 @@ bit-exactly on canonical forms.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numutil import factorize, is_prime, valuation
+from .numutil import is_prime
 
 
 @dataclass(frozen=True, order=True)
@@ -101,11 +102,7 @@ class DivisibilityType:
             return True
         if self.inverted.is_all:
             return True
-        den = (self.multiplier * q).denominator
-        for p in self.inverted:
-            while den % p == 0:
-                den //= p
-        return den == 1
+        return _strip((self.multiplier * q).denominator, self.inverted) == 1
 
 
 TYPE_Z = DivisibilityType(1, NO_PRIMES)
@@ -120,10 +117,15 @@ def div_type(multiplier: int, inverted) -> DivisibilityType:
         raise ValueError("multiplier must be positive")
     if s.is_all:
         return DivisibilityType(1, ALL)
+    return DivisibilityType(_strip(m, s), s)
+
+
+def _strip(n: int, s: PrimeSet) -> int:
+    """n with the primes of the finite set s divided out."""
     for p in s:
-        while m % p == 0:
-            m //= p
-    return DivisibilityType(m, s)
+        while n % p == 0:
+            n //= p
+    return n
 
 
 def type_leq(a: DivisibilityType, b: DivisibilityType) -> bool:
@@ -135,11 +137,7 @@ def type_leq(a: DivisibilityType, b: DivisibilityType) -> bool:
     if not a.inverted.is_subset(b.inverted):
         return False
     # 1/a.m must lie in b: the part of a.m outside b's inverted set divides b.m
-    residue = a.multiplier
-    for p in b.inverted:
-        while residue % p == 0:
-            residue //= p
-    return b.multiplier % residue == 0
+    return b.multiplier % _strip(a.multiplier, b.inverted) == 0
 
 
 def type_eq(a: DivisibilityType, b: DivisibilityType) -> bool:
@@ -147,42 +145,31 @@ def type_eq(a: DivisibilityType, b: DivisibilityType) -> bool:
 
 
 def type_meet(a: DivisibilityType, b: DivisibilityType) -> DivisibilityType:
-    """Intersection of the two subgroups of Q."""
+    """Intersection of the two subgroups of Q.
+
+    With S and T the inverted sets of a and b: outside S ∪ T a prime keeps
+    the lesser of its two exponents (the gcd), a prime of S but not T keeps
+    its exponent in b.m, and one of T but not S its exponent in a.m.  No
+    multiplier is factored.
+    """
     if a.inverted.is_all:
         return b
     if b.inverted.is_all:
         return a
-    s = a.inverted.intersect(b.inverted)
-    m = 1
-    for p in sorted(set(factorize(a.multiplier * b.multiplier)) if a.multiplier * b.multiplier > 1 else set()):
-        if p in s:
-            continue
-        va = valuation(a.multiplier, p) if a.multiplier % p == 0 else 0
-        vb = valuation(b.multiplier, p) if b.multiplier % p == 0 else 0
-        if p in a.inverted:
-            e = vb
-        elif p in b.inverted:
-            e = va
-        else:
-            e = min(va, vb)
-        m *= p**e
-    return div_type(m, s)
+    ma, mb = a.multiplier, b.multiplier
+    m = math.gcd(ma, mb) * (mb // _strip(mb, a.inverted)) * (ma // _strip(ma, b.inverted))
+    return div_type(m, a.inverted.intersect(b.inverted))
 
 
 def type_join(a: DivisibilityType, b: DivisibilityType) -> DivisibilityType:
-    """Sum a + b inside Q (the join in the lattice of these subgroups)."""
+    """Sum a + b inside Q (the join in the lattice of these subgroups).
+
+    A prime outside both inverted sets keeps the greater of its two
+    exponents (the lcm), and ``div_type`` divides out the inverted primes.
+    """
     if a.inverted.is_all or b.inverted.is_all:
         return TYPE_Q
-    s = a.inverted.union(b.inverted)
-    m = 1
-    product = a.multiplier * b.multiplier
-    for p in sorted(set(factorize(product))) if product > 1 else ():
-        if p in s:
-            continue
-        va = valuation(a.multiplier, p) if a.multiplier % p == 0 else 0
-        vb = valuation(b.multiplier, p) if b.multiplier % p == 0 else 0
-        m *= p ** max(va, vb)
-    return div_type(m, s)
+    return div_type(math.lcm(a.multiplier, b.multiplier), a.inverted.union(b.inverted))
 
 
 def scale_type(t: DivisibilityType, r: Fraction | int) -> DivisibilityType:
@@ -197,12 +184,7 @@ def scale_type(t: DivisibilityType, r: Fraction | int) -> DivisibilityType:
         raise ValueError("cannot scale a type by zero")
     if t.inverted.is_all:
         return TYPE_Q
-    num, den = abs(r.numerator), r.denominator
-    for p in t.inverted:
-        while num % p == 0:
-            num //= p
-        while den % p == 0:
-            den //= p
+    num, den = _strip(abs(r.numerator), t.inverted), _strip(r.denominator, t.inverted)
     new_m_num = t.multiplier * den
     if new_m_num % num != 0:
         raise ValueError("%s * %s is not a unit-form divisibility type" % (r, format_type(t)))

@@ -170,6 +170,20 @@ class TestLargeNumbers:
         assert done.returncode == 0
         assert done.stdout == "minimal multiplier: 1000000000000000000000000000057\n"
 
+    def test_quotient_witness_prime_beside_a_31_digit_entry(self, tmp_path):
+        # W_ALL differs, so the witness prime is the least one outside both
+        # groups' data; finding it must not factor the hull entry
+        p = 10**30 + 57
+        path = tmp_path / "bigq.grp"
+        path.write_text(
+            f"group G ambient 2\ngen [1, 0] inv ALL\ngen [0, 1/{p}] inv {{}}\n"
+            f"group A ambient 2\ngen [1, 0] inv {{}}\ngen [0, 1/{p}] inv {{}}\n"
+        )
+        argv = ["quotient", str(path), str(path), "--name", "G", "--other-name", "A"]
+        done = run_cli(argv, timeout=20)
+        assert done.returncode == 0
+        assert done.stdout == "InfiniteTorsion(p=2, direction=(1, 0))\n"
+
     def test_uncertified_prime_in_prime_set_is_one(self, tmp_path):
         path = tmp_path / "bigp.grp"
         path.write_text("group bigp ambient 1\ngen [1] inv {1000000000000000000000000000057}\n")

@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionfree.corpus import generate
+from torsionfree.corpus import PROFILES, generate
+from torsionfree.decomp import set_partitions
 from torsionfree.groups import (
     Compare,
     GroupError,
+    SplitKind,
     compare,
     group_rep,
+    pure_sum_kind,
+    purify,
     sum_groups,
 )
 from torsionfree.jonsson import (
@@ -24,7 +28,7 @@ from torsionfree.jonsson import (
     summand_invariants,
     unrefinable_quotient_decompositions,
 )
-from torsionfree.linalg import identity_matrix
+from torsionfree.linalg import Subspace, identity_matrix
 
 
 def G1():
@@ -252,11 +256,89 @@ class TestUnrefinable:
         reports = unrefinable_quotient_decompositions(g, basis)
         assert [r.blocks for r in reports] == [((0, 1), (2,))]
 
+    def test_three_block_maximal_grouping(self):
+        # the two diagonal lines of Z^2 sum to index 2 and stay together;
+        # the other two axes split off on their own
+        g = group_rep(4, [(tuple(int(i == j) for j in range(4)), ()) for i in range(4)])
+        lines = [(1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        basis = jonsson_basis_from_summands(g, [group_rep(4, [(v, ())]) for v in lines])
+        assert basis.index == 2
+        reports = unrefinable_quotient_decompositions(g, basis)
+        assert [r.blocks for r in reports] == [((0, 1), (2,), (3,))]
+        assert [r.blocks for r in reports] == [b for b, _h in refinement_dfs(basis)]
+
     def test_trivial_quotient_rejected(self):
         g = Z2()
         basis = jonsson_basis_from_summands(g, axis_lines(g))
         with pytest.raises(ValueError):
             unrefinable_quotient_decompositions(g, basis)
+
+
+def refinement_dfs(a):
+    """The terminal states of recursive exact block refinement, sorted.
+
+    From the one-block grouping, a block is replaced by two sub-blocks
+    whenever its hull is the direct sum of theirs; a state no such step
+    changes is terminal.
+    """
+
+    def span(block):
+        rows = [row for i in block for row in a.summand_groups[i].span.rows]
+        return Subspace.span(rows, a.group.ambient_dim)
+
+    start = (tuple(range(len(a.summands))),)
+    stack, visited, terminal = [start], {start}, set()
+    while stack:
+        state = stack.pop()
+        refined = False
+        for which, block in enumerate(state):
+            if len(block) < 2:
+                continue
+            hull = purify(a.group, span(block))
+            for halves in set_partitions(len(block), 2):
+                if len(halves) < 2:
+                    continue
+                left, right = (tuple(block[i] for i in half) for half in halves)
+                if pure_sum_kind(hull, (span(left), span(right))) is not SplitKind.EXACT:
+                    continue
+                refined = True
+                nxt = tuple(sorted((*state[:which], *state[which + 1 :], left, right)))
+                if nxt not in visited:
+                    visited.add(nxt)
+                    stack.append(nxt)
+        if not refined:
+            terminal.add(state)
+    return [(blocks, tuple(purify(a.group, span(b)) for b in blocks)) for blocks in sorted(terminal)]
+
+
+def corpus_jonsson_bases(seeds, max_rank):
+    """Jonsson bases of corpus groups on the lines of their base generators."""
+    for profile in PROFILES:
+        for seed in seeds:
+            sample = generate(profile, seed, max_rank=max_rank)
+            g = sample.group
+            lines = [group_rep(g.ambient_dim, [(v, ())]) for v, _s in sample.base.generators]
+            try:
+                a = jonsson_basis_from_summands(g, lines)
+            except GroupError:
+                continue
+            if a.quotient.order > 1:
+                yield a
+
+
+def test_unrefinable_groupings_are_the_refinement_dfs_terminals():
+    checked = split = 0
+    for a in corpus_jonsson_bases(range(40), max_rank=4):
+        reports = unrefinable_quotient_decompositions(a.group, a)
+        expected = refinement_dfs(a)
+        assert [r.blocks for r in reports] == [blocks for blocks, _h in expected]
+        for r, (_blocks, hulls) in zip(reports, expected):
+            assert [h.key() for h in r.lifted] == [h.key() for h in hulls]
+            images = tuple(tuple(a.quotient.image(v) for v, _s in h.generators) for h in hulls)
+            assert r.images == images
+        checked += 1
+        split += sum(len(r.blocks) > 1 for r in reports)
+    assert checked >= 40 and split >= 15
 
 
 class TestUniqueness:

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from torsionfree.numutil import factorize, valuation
 from torsionfree.rank1 import (
     ALL,
     NO_PRIMES,
@@ -128,6 +133,61 @@ class TestLattice:
     @given(types(), types(), types())
     def test_meet_associative(self, a, b, c):
         assert type_eq(type_meet(type_meet(a, b), c), type_meet(a, type_meet(b, c)))
+
+
+def factoring_meet(a, b):
+    """type_meet by factoring a.m * b.m, prime by prime."""
+    if a.inverted.is_all:
+        return b
+    if b.inverted.is_all:
+        return a
+    s = a.inverted.intersect(b.inverted)
+    m = 1
+    for p in factorize(a.multiplier * b.multiplier):
+        if p in s:
+            continue
+        va, vb = valuation(a.multiplier, p), valuation(b.multiplier, p)
+        m *= p ** (vb if p in a.inverted else va if p in b.inverted else min(va, vb))
+    return div_type(m, s)
+
+
+def factoring_join(a, b):
+    """type_join by factoring a.m * b.m, prime by prime."""
+    if a.inverted.is_all or b.inverted.is_all:
+        return TYPE_Q
+    s = a.inverted.union(b.inverted)
+    m = 1
+    for p in factorize(a.multiplier * b.multiplier):
+        if p not in s:
+            m *= p ** max(valuation(a.multiplier, p), valuation(b.multiplier, p))
+    return div_type(m, s)
+
+
+wide_types = st.builds(
+    div_type,
+    st.integers(min_value=1, max_value=10**5),
+    st.sets(st.sampled_from((2, 3, 5, 7, 11)), max_size=4),
+)
+
+
+@given(st.one_of(types(), wide_types), st.one_of(types(), wide_types))
+def test_meet_and_join_match_the_factoring_versions(a, b):
+    assert type_meet(a, b) == factoring_meet(a, b)
+    assert type_join(a, b) == factoring_join(a, b)
+
+
+def test_meet_and_join_with_a_31_digit_multiplier():
+    # 10^30 + 57 is prime; trial division of it would not finish
+    code = (
+        "from torsionfree.rank1 import div_type, format_type, type_join, type_meet\n"
+        "a, b = div_type(10**30 + 57, ()), div_type(2, (3,))\n"
+        "print(format_type(type_join(a, b)), '|', format_type(type_meet(a, b)))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0
+    assert done.stdout == "1/2000000000000000000000000000114 Z[3] | Z\n"
 
 
 class TestScale:

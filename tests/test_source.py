@@ -77,6 +77,34 @@ def test_no_dead_private_helpers(path):
     assert dead_private_helpers(sources, path.name) == []
 
 
+FACTORING = {"factorize", "primes_dividing", "divisors"}
+# groups factors in active_primes (read by the oracle bound) and _index_primes
+MAY_FACTOR = {"numutil.py", "oracle.py", "groups.py"}
+
+
+def factoring_names(source: str) -> set[str]:
+    """The factoring helpers of numutil that the source imports or reads as attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names if alias.name in FACTORING)
+        elif isinstance(node, ast.Attribute) and node.attr in FACTORING:
+            names.add(node.attr)
+    return names
+
+
+def test_detects_factoring():
+    source = "from .numutil import divisors, is_prime\nfrom . import numutil\nnumutil.factorize(6)\n"
+    assert factoring_names(source) == {"divisors", "factorize"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_known_modules_factor(path):
+    # everything else must answer without factoring, so a large prime cannot stall it
+    if path.name not in MAY_FACTOR:
+        assert factoring_names(path.read_text(encoding="utf-8")) == set()
+
+
 def tracer_targets():
     """(module, attribute path) pairs that perfbench/tracer.py wraps with --trace 1."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
