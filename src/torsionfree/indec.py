@@ -32,7 +32,6 @@ from .decomp import (
     _RANK_LIMIT,
     _generated_bases,
     candidate_vectors,
-    set_partitions,
 )
 from .groups import (
     GroupError,
@@ -66,10 +65,11 @@ class SIReport:
 
 
 def _two_block_blockings(t: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Partitions of range(t) into two blocks, ordered by the bitmask of the second."""
-    blockings = [b for b in set_partitions(t, 2) if len(b) == 2]
-    blockings.sort(key=lambda blocks: sum(1 << i for i in blocks[1]))
-    return blockings
+    """Partitions of range(t) into two blocks, by the even bitmasks 2..2^t - 2 of the second."""
+    return [
+        tuple(tuple(i for i in range(t) if (mask >> i & 1) == side) for side in (0, 1))
+        for mask in range(2, 1 << t, 2)
+    ]
 
 
 def property_si_check(g: GroupRep, basis: BasisRecord) -> SIReport:

@@ -7,8 +7,9 @@ Everything is exact -- no floats, no tolerances anywhere.
 
 Elimination over Q runs on integers: rational rows are scaled to integer
 rows and reduced by one fraction-free Gauss-Jordan kernel, ``_eliminate``
-(Bareiss, Math. Comp. 22, 1968).  ``rref``, ``det`` and ``Subspace`` all use
-it; Hermite and Smith forms work over Z directly.
+(Bareiss, Math. Comp. 22, 1968).  ``rref``, ``det``, ``Subspace`` and the
+lattice coordinates of ``CoordinateMap`` all use it; Hermite and Smith forms
+work over Z directly.
 """
 
 from __future__ import annotations
@@ -180,29 +181,19 @@ def rref(rows: Mat) -> tuple[Mat, Mat, tuple[int, ...]]:
     )
 
 
-def _substitute(rows: Mat, pivots: tuple[int, ...], x) -> tuple[list, list]:
-    """Forward substitution of x along echelon rows: (coefficients, residual).
-
-    Both are linear in x, and the residual is zero exactly when x lies in the
-    span of the rows.
-    """
-    coeffs = [Fraction(0)] * len(rows)
-    residual = list(x)
-    for i, (row, piv) in enumerate(zip(rows, pivots)):
-        c = residual[piv] / row[piv]
-        if c:
-            coeffs[i] = c
-            for j in range(piv, len(residual)):
-                residual[j] -= c * row[j]
-    return coeffs, residual
-
-
 def echelon_coordinates(rows: Mat, pivots: tuple[int, ...], x: Vec) -> Vec | None:
-    """Coordinates of x in echelon rows (distinct pivots), or None if outside."""
-    coeffs, residual = _substitute(rows, pivots, x)
-    if any(residual):
-        return None
-    return tuple(coeffs)
+    """Coordinates of x in echelon rows (distinct pivots), or None if outside.
+
+    Forward substitution along the pivots leaves a residual that is zero
+    exactly when x lies in the span of the rows.
+    """
+    coeffs, residual = [], list(x)
+    for row, piv in zip(rows, pivots):
+        c = residual[piv] / row[piv]
+        coeffs.append(c)
+        if c:
+            residual = [e - c * g for e, g in zip(residual, row)]
+    return None if any(residual) else tuple(coeffs)
 
 
 def solve_in_rows(rows: Mat, target: Vec) -> Vec | None:
@@ -546,9 +537,9 @@ class RationalLattice:
     equal structurally.
 
     Echelon invariant: the rows are in Hermite normal form, so their pivots
-    (first nonzero columns) strictly increase.  Coordinates are therefore
-    found by forward substitution along the pivots, without elimination, and
-    they are unique because nonzero echelon rows are independent.
+    (first nonzero columns) strictly increase, and the rows are independent.
+    Coordinates are therefore unique; they are read off the lattice's own
+    ``CoordinateMap`` modulo the zero subspace.
     """
 
     ambient_dim: int
@@ -572,15 +563,18 @@ class RationalLattice:
         """Pivot column of each basis row, strictly increasing."""
         return tuple(next(j for j, e in enumerate(r) if e) for r in self.rows)
 
+    @cached_property
+    def _map(self) -> "CoordinateMap":
+        return CoordinateMap.build(Subspace.span((), self.ambient_dim), self)
+
     def coordinates(self, x: Vec) -> Vec | None:
         """Rational coordinates of x in the basis rows, or None if off-span."""
         if len(x) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        return echelon_coordinates(self.rows, self.pivots, x)
-
-    def contains(self, x: Vec) -> bool:
-        c = self.coordinates(x)
-        return c is not None and all(e.denominator == 1 for e in c)
+        y, d = integer_form(x)
+        if not self._map.in_span(y):
+            return None
+        return tuple(Fraction(e, d * self._map.scale) for e in self._map.numerators(y))
 
     def intersect_subspace(self, space: Subspace) -> "RationalLattice":
         """The sublattice of vectors lying in the given subspace."""
@@ -608,37 +602,41 @@ class RationalLattice:
 class CoordinateMap:
     """Lattice coordinates of x modulo a subspace W, as one integer matrix.
 
-    Reducing x modulo W's echelon rows and forward-substituting along the
-    lattice's HNF pivots are both linear in x, and so is the residual the
-    substitution leaves.  With x = y/d (``integer_form``), the coordinates of
-    (x mod W) in the lattice basis are ``numerators(y)`` over d * scale, and
-    x lies in W + span(lattice) iff ``in_span(y)``.  Evaluation is integer
-    dot products only.
+    B stacks W's echelon rows, the lattice rows cleared of their
+    denominators, and unit rows at the columns that are pivots of neither;
+    x * B^-1 holds x's part in W, its lattice coordinates over those
+    denominators, and its residual at the free columns.  One ``_eliminate``
+    of [B | the row denominators on a diagonal] gives the last two over the
+    last pivot.  With x = y/d (``integer_form``), the coordinates of
+    (x mod W) are ``numerators(y)`` over d * scale, and x lies in
+    W + span(lattice) iff ``in_span(y)``.  ``build`` raises ValueError
+    unless B is square and invertible (the lattice reduced mod W).
     """
 
     scale: int
     columns: tuple[tuple[int, ...], ...]  # one per lattice basis row
-    residual: tuple[tuple[int, ...], ...]  # the nonzero residual columns
+    residual: tuple[tuple[int, ...], ...]  # one per free column
 
     @staticmethod
     def build(space: Subspace, lattice: RationalLattice) -> "CoordinateMap":
         n = space.ambient_dim
         if lattice.ambient_dim != n:
             raise ValueError("dimension mismatch")
-        # row i is the image of the i-th unit vector: coordinates, then residual
-        images = []
-        for i in range(n):
-            coeffs, residual = _substitute(
-                lattice.rows, lattice.pivots, space.reduce(unit_vec(n, i))
-            )
-            images.append(coeffs + residual)
-        scale = lcm(*[e.denominator for row in images for e in row])
-        ints = [[e.numerator * (scale // e.denominator) for e in row] for row in images]
-        cols = list(zip(*ints))
-        r = lattice.rank
-        return CoordinateMap(
-            scale, tuple(cols[:r]), tuple(c for c in cols[r:] if any(c))
-        )
+        taken = set(space.pivots) | set(lattice.pivots)
+        units = [(tuple(int(i == j) for i in range(n)), 1) for j in range(n) if j not in taken]
+        rows = [(row, 1) for row in space.basis] + list(map(integer_form, lattice.rows)) + units
+        m = len(rows)
+        work = [[*row, *(den * (i == j) for j in range(m))] for i, (row, den) in enumerate(rows)]
+        pivots, _sign = _eliminate(work, n)
+        if len(pivots) < m:
+            raise ValueError("the lattice is not reduced modulo the subspace")
+        # every row of B leads with a positive entry, so the last pivot d is positive
+        d = work[-1][n - 1] if n else 1
+        cols = [tuple(t[j] for t in work) for j in range(n + space.dim, 2 * n)]
+        # the scale is the lcm of the reduced denominators of the entries e / d
+        g = gcd(d, *(e for col in cols for e in col))
+        ints = tuple(tuple(e // g for e in col) for col in cols)
+        return CoordinateMap(d // g, ints[: lattice.rank], ints[lattice.rank :])
 
     def numerators(self, y) -> tuple[int, ...]:
         """Coordinate numerators of x = y/d; the common denominator is d * scale."""

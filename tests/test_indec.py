@@ -8,7 +8,7 @@ from strategies import group_reps
 from torsionfree import indec
 from torsionfree.bases import basis_record
 from torsionfree.corpus import PROFILES, generate
-from torsionfree.decomp import _generated_bases, candidate_vectors
+from torsionfree.decomp import _generated_bases, candidate_vectors, set_partitions
 from torsionfree.groups import GroupError, element_type, group_rep, pure_sum_kind
 from torsionfree.indec import (
     SICertificate,
@@ -183,3 +183,11 @@ def test_certified_groups_yield_no_witness(g):
         return
     if typeset_obstruction_certificate(g) is not None:
         assert not strong_decomposability_witness_search(g, 1).found
+
+
+@pytest.mark.parametrize("t", range(9))
+def test_two_block_blockings_keep_the_sorted_partition_order(t):
+    # the witness search's attempt order, and so the printed witness, rests on it
+    two_block = [b for b in set_partitions(t, 2) if len(b) == 2]
+    two_block.sort(key=lambda blocks: sum(1 << i for i in blocks[1]))
+    assert indec._two_block_blockings(t) == two_block

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strategies import integer_matrices, small_fractions, vectors
@@ -25,6 +25,11 @@ from torsionfree.linalg import (
     solve_in_rows,
     vec,
 )
+
+
+def is_integral(coords):
+    """Whether lattice coordinates exist and are integers (x lies in the lattice)."""
+    return coords is not None and all(c.denominator == 1 for c in coords)
 
 
 def imat_mul(a, b):
@@ -315,8 +320,8 @@ class TestRationalLattice:
 
     def test_fractional_lattice(self):
         lat = RationalLattice.from_generators([vec([Fraction(1, 2), 0])], 2)
-        assert lat.contains(vec([Fraction(3, 2), 0]))
-        assert not lat.contains(vec([Fraction(1, 4), 0]))
+        assert is_integral(lat.coordinates(vec([Fraction(3, 2), 0])))
+        assert not is_integral(lat.coordinates(vec([Fraction(1, 4), 0])))
         assert lat.coordinates(vec([1, 0])) == (2,)
 
     def test_intersect_subspace(self):
@@ -373,7 +378,7 @@ class TestRationalLattice:
     def test_generators_are_members(self, vs):
         lat = RationalLattice.from_generators([vec(v) for v in vs], 2)
         for v in vs:
-            assert lat.contains(vec(v))
+            assert is_integral(lat.coordinates(vec(v)))
 
 
 class TestMatrixBasics:
@@ -426,9 +431,51 @@ class TestCoordinateMap:
                 assert tuple(Fraction(t, u) for t in cmap.numerators(y)) == coords
         assert cmap.in_span(integer_form(inside)[0])
 
+    @given(
+        st.lists(vectors(3), max_size=3),
+        st.lists(vectors(3), max_size=3),
+    )
+    @example([], [(1, 2, 0), (0, Fraction(1, 3), 5)])  # W = 0
+    @example([(1, 1, 0)], [])  # a rank-0 lattice
+    @example([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [])  # W = Q^3
+    @settings(max_examples=150)
+    def test_matches_fraction_build(self, ws, gens):
+        space = Subspace.span([vec(v) for v in ws], 3)
+        lattice = RationalLattice.from_generators(
+            [space.reduce(vec(v)) for v in gens], 3
+        )
+        assert CoordinateMap.build(space, lattice) == fraction_coordinate_map(space, lattice)
+
+    def test_rejects_a_lattice_not_reduced_modulo_the_subspace(self):
+        # (1,1) is in span(e1) + Z(1,1); a map that ignored the overlap would say not
+        space = Subspace.span([vec([1, 0])], 2)
+        lattice = RationalLattice.from_generators([vec([1, 1])], 2)
+        with pytest.raises(ValueError):
+            CoordinateMap.build(space, lattice)
+
     def test_integer_form_of_mixed_entries(self):
         assert integer_form((Fraction(1, 6), 2, "3/4")) == ((2, 24, 9), 12)
         assert integer_form((0, 0)) == ((0, 0), 1)
+
+
+def fraction_coordinate_map(space, lattice):
+    """Reference: reduce each unit vector modulo W in Fractions, then substitute
+    along the lattice's HNF pivots; the columns are the coordinates and the
+    nonzero residual columns, over the lcm of every denominator."""
+    n = space.ambient_dim
+    images = []
+    for i in range(n):
+        residual = list(space.reduce(vec(int(i == j) for j in range(n))))
+        coeffs = []
+        for row, piv in zip(lattice.rows, lattice.pivots):
+            c = residual[piv] / row[piv]
+            coeffs.append(c)
+            residual = [e - c * g for e, g in zip(residual, row)]
+        images.append(coeffs + residual)
+    scale = math.lcm(*[e.denominator for row in images for e in row])
+    cols = list(zip(*[[e.numerator * (scale // e.denominator) for e in row] for row in images]))
+    r = lattice.rank
+    return CoordinateMap(scale, tuple(cols[:r]), tuple(c for c in cols[r:] if any(c)))
 
 
 def fraction_intersect(lat, space):

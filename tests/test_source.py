@@ -82,27 +82,47 @@ FACTORING = {"factorize", "primes_dividing", "divisors"}
 MAY_FACTOR = {"numutil.py", "oracle.py", "groups.py"}
 
 
-def factoring_names(source: str) -> set[str]:
-    """The factoring helpers of numutil that the source imports or reads as attributes."""
-    names = set()
+def names_read(source: str, names: set[str]) -> set[str]:
+    """Which of names the source imports, or reads as a name or an attribute."""
+    found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names if alias.name in FACTORING)
-        elif isinstance(node, ast.Attribute) and node.attr in FACTORING:
-            names.add(node.attr)
-    return names
+            found.update(alias.name for alias in node.names if alias.name in names)
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.add(node.attr)
+    return found
 
 
 def test_detects_factoring():
     source = "from .numutil import divisors, is_prime\nfrom . import numutil\nnumutil.factorize(6)\n"
-    assert factoring_names(source) == {"divisors", "factorize"}
+    assert names_read(source, FACTORING) == {"divisors", "factorize"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_known_modules_factor(path):
     # everything else must answer without factoring, so a large prime cannot stall it
     if path.name not in MAY_FACTOR:
-        assert factoring_names(path.read_text(encoding="utf-8")) == set()
+        assert names_read(path.read_text(encoding="utf-8"), FACTORING) == set()
+
+
+# lattice coordinates come from linalg.CoordinateMap; the Fraction forward
+# substitution serves linalg.solve_in_rows and the oracle's independent check
+SUBSTITUTION = {"echelon_coordinates"}
+MAY_SUBSTITUTE = {"linalg.py", "oracle.py"}
+
+
+def test_detects_substitution():
+    source = "from .linalg import echelon_coordinates\nlinalg.echelon_coordinates(r, p, x)\n"
+    assert names_read(source, SUBSTITUTION) == SUBSTITUTION
+    assert names_read("coords = lattice.coordinates(x)\n", SUBSTITUTION) == set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_known_modules_substitute(path):
+    read = names_read(path.read_text(encoding="utf-8"), SUBSTITUTION)
+    assert read == (SUBSTITUTION if path.name in MAY_SUBSTITUTE else set())
 
 
 def tracer_targets():
