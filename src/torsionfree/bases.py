@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .groups import (
     Compare,
@@ -21,10 +21,10 @@ from .groups import (
     SpanMismatch,
     compare,
     member,
+    order_mod,
     pure_sum,
 )
 from .linalg import Subspace, Vec, integer_form, solve_in_rows, unit_vec, vec, vscale
-from .numutil import valuation
 
 
 @dataclass(frozen=True)
@@ -81,33 +81,6 @@ def require_basis(g: GroupRep, basis: BasisRecord) -> None:
         raise ValueError("the elements are not a basis of the group")
 
 
-def _order_mod_group(g: GroupRep, b: Vec) -> int:
-    """Least m >= 1 with m*b in g, for b in [G], read off g's coordinate maps.
-
-    Write b = y/d.  Let D be the reduced common denominator of b's
-    coordinates in the untagged map, and D_p the one in the map at each
-    tagged prime p.  m*b lies in g exactly when D/gcd(D, m) is a product of
-    tagged primes and p^v_p(D_p) divides m at each tagged p (the test
-    ``groups.member`` applies to m*b).  So m is D with the tagged primes
-    divided out, times p^v_p(D_p) for each tagged p.
-    """
-    y, d = integer_form(b)
-    untagged = g._untagged_map
-    if not untagged.in_span(y):
-        raise SpanMismatch("vector outside the span of the group")
-    u = d * untagged.scale
-    m = u // gcd(u, *untagged.numerators(y))
-    for p in g.tagged_primes:
-        while m % p == 0:
-            m //= p
-    for p in g.tagged_primes:
-        local = g._local_map(p)
-        u = d * local.scale
-        if u % p == 0:
-            m *= p ** valuation(u // gcd(u, *local.numerators(y)), p)
-    return m
-
-
 def minimal_multiplier(g: GroupRep, elements) -> int:
     """Least m such that m*b lies in g for every b (a vector-space basis of [G])."""
     elems = [vec(b) for b in elements]
@@ -118,7 +91,7 @@ def minimal_multiplier(g: GroupRep, elements) -> int:
         raise SpanMismatch("the elements do not span [G]")
     m = 1
     for b in elems:
-        m = lcm(m, _order_mod_group(g, b))
+        m = lcm(m, order_mod(g, *integer_form(b)))
     return m
 
 
@@ -159,7 +132,7 @@ def extend_basis(g: GroupRep, h: GroupRep, c: BasisRecord) -> BasisRecord:
             new.append(cand)
     m = 1
     for b in new:
-        m = lcm(m, _order_mod_group(g, b))
+        m = lcm(m, order_mod(g, *integer_form(b)))
     return basis_record(g, c.elements + tuple(vscale(m, b) for b in new))
 
 

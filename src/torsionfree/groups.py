@@ -7,23 +7,27 @@ purification, finite-index subgroups and extensions, direct sums, scaling,
 and images under rational maps.
 
 Membership is decided p-locally.  For every prime p the localization of G at
-p is W_p + Z_(p)*L, where W_p is the span of the generators whose prime set
-contains p and L is the lattice hull (the Z-span of all generators).  A
-vector lies in G iff it lies in the span and in every localization.  Every
-prime outside the finite prime sets (an untagged prime) sees the same data:
-W_ALL and the reduced hull L mod W_ALL.  Each test is compiled once per
-group into an integer coordinate map (``linalg.CoordinateMap``): an integer
-matrix N with one scale s sending x = y/d to coordinate numerators y*N over
-d*s.  So x lies in G iff the untagged map's residual vanishes (x is in the
-span), no coordinate denominator of the map at a tagged prime p is
-divisible by p, and the untagged map's coordinate denominators are products
-of tagged primes.  Deciding this takes one lcm, integer dot products and
-gcds, with no rational arithmetic and no factoring.
+p is W_p + Z_(p)*L_p, where W_p is the span of the generators whose prime set
+contains p and L_p is the lattice of the other generators taken modulo W_p.
+A vector lies in G iff it lies in the span and in every localization.  Every
+prime outside the finite prime sets (an untagged prime) sees the same data,
+W_ALL and the lattice hull modulo W_ALL, so the per-prime data is keyed by
+the prime key: p itself when p is tagged, and None for ALL and every
+untagged prime.  ``GroupRep.divisible_directions(p)`` (W_p) and
+``GroupRep.local(p)`` (W_p, L_p and their coordinate map) are the one home
+of that data, cached per prime key.  The coordinate map
+(``linalg.CoordinateMap``) is an integer matrix N with one scale s sending
+x = y/d to coordinate numerators y*N over d*s.  So x lies in G iff the
+untagged map's residual vanishes (x is in the span), no coordinate
+denominator of the map at a tagged prime p is divisible by p, and the
+untagged map's coordinate denominators are products of tagged primes.
+Deciding this takes one lcm, integer dot products and gcds, with no
+rational arithmetic and no factoring.
 
 Finite quotients read the same maps as membership: the p-part of G/A is the
 Smith form of the coordinates of A's hull rows in G's map at p, and the
 image of an element is its coordinates in that map.  Quasi-equality
-(``quasi``) and minimal multipliers (``bases``) read the maps too.
+(``quasi``) and minimal multipliers (``order_mod``) read the maps too.
 """
 
 from __future__ import annotations
@@ -85,6 +89,19 @@ class Compare(enum.Enum):
 
 
 @dataclass(frozen=True)
+class LocalData:
+    """G at one prime key: W_p and the other generators' lattice modulo W_p."""
+
+    space: Subspace
+    lattice: RationalLattice
+
+    @cached_property
+    def map(self) -> CoordinateMap:
+        """The integer coordinate map of the test at this prime key."""
+        return CoordinateMap.build(self.space, self.lattice)
+
+
+@dataclass(frozen=True)
 class GroupRep:
     """Immutable group representation; derived data is cached on the instance."""
 
@@ -93,8 +110,7 @@ class GroupRep:
 
     def __post_init__(self):
         object.__setattr__(self, "_w_cache", {})
-        object.__setattr__(self, "_plocal_cache", {})
-        object.__setattr__(self, "_map_cache", {})
+        object.__setattr__(self, "_local_cache", {})
         object.__setattr__(self, "_purify_cache", {})
 
     # -- structural data, derived on first use --------------------------------
@@ -112,32 +128,6 @@ class GroupRep:
         """The Z-span of the generator vectors."""
         return RationalLattice.from_generators(
             [v for v, _s in self.generators], self.ambient_dim
-        )
-
-    @cached_property
-    def reduced_hull(self) -> RationalLattice:
-        """The lattice hull taken modulo the fully divisible directions.
-
-        Built from the generators not inverted at every prime, reduced modulo
-        W_ALL: the ALL generators reduce to zero, and the reduction is linear,
-        so this is the same lattice without the hull's own HNF.
-        """
-        w = self.divisible_all_directions
-        return RationalLattice.from_generators(
-            [w.reduce(v) for v, s in self.generators if not s.is_all],
-            self.ambient_dim,
-        )
-
-    @cached_property
-    def _untagged_map(self) -> CoordinateMap:
-        """Coordinate map of the test at every untagged prime (W_ALL, reduced hull)."""
-        return CoordinateMap.build(self.divisible_all_directions, self.reduced_hull)
-
-    @cached_property
-    def divisible_all_directions(self) -> Subspace:
-        """Span of the generators inverted at every prime."""
-        return Subspace.span(
-            [v for v, s in self.generators if s.is_all], self.ambient_dim
         )
 
     @cached_property
@@ -160,14 +150,42 @@ class GroupRep:
                     primes.update(primes_dividing(e.denominator))
         return tuple(sorted(primes))
 
-    def divisible_directions(self, p: int) -> Subspace:
-        """Span of the generators whose prime set contains p (W_p)."""
+    def prime_key(self, p: int | None) -> int | None:
+        """p when p is tagged, else None: every untagged prime sees ALL's data."""
+        return p if p in self.tagged_primes else None
+
+    def divisible_directions(self, p: int | None = None) -> Subspace:
+        """W_p, the span of the generators whose prime set contains p.
+
+        None, like any untagged prime, gives W_ALL, the span of the
+        generators inverted at every prime.
+        """
         cached = self._w_cache.get(p)
         if cached is None:
-            cached = Subspace.span(
-                [v for v, s in self.generators if p in s], self.ambient_dim
+            key = self.prime_key(p)
+            if key != p:
+                return self.divisible_directions(key)
+            cached = self._w_cache[key] = Subspace.span(
+                [v for v, s in self.generators if _inverted_at(s, key)],
+                self.ambient_dim,
             )
-            self._w_cache[p] = cached
+        return cached
+
+    def local(self, p: int | None = None) -> LocalData:
+        """G at p: W_p and the lattice of the generators not inverted at p,
+        taken modulo W_p.  None, like any untagged prime, gives W_ALL and the
+        lattice hull modulo W_ALL (the reduced hull).
+        """
+        cached = self._local_cache.get(p)
+        if cached is None:
+            key = self.prime_key(p)
+            if key != p:
+                return self.local(key)
+            w = self.divisible_directions(key)
+            rest = [w.reduce(v) for v, s in self.generators if not _inverted_at(s, key)]
+            cached = self._local_cache[key] = LocalData(
+                w, RationalLattice.from_generators(rest, self.ambient_dim)
+            )
         return cached
 
     def key(self):
@@ -177,28 +195,10 @@ class GroupRep:
             tuple(sorted((v, repr(s)) for v, s in self.generators)),
         )
 
-    # -- p-local membership machinery -----------------------------------------
 
-    def _plocal_data(self, p: int):
-        """(W_p, the other generators' lattice mod W_p): the data of G at p."""
-        if p not in self.tagged_primes:
-            return self.divisible_all_directions, self.reduced_hull
-        data = self._plocal_cache.get(p)
-        if data is None:
-            w = self.divisible_directions(p)
-            rest = [w.reduce(v) for v, s in self.generators if p not in s]
-            data = (w, RationalLattice.from_generators(rest, self.ambient_dim))
-            self._plocal_cache[p] = data
-        return data
-
-    def _local_map(self, p: int) -> CoordinateMap:
-        """Coordinate map of the test at p; the untagged primes share one."""
-        if p not in self.tagged_primes:
-            return self._untagged_map
-        cached = self._map_cache.get(p)
-        if cached is None:
-            cached = self._map_cache[p] = CoordinateMap.build(*self._plocal_data(p))
-        return cached
+def _inverted_at(s: PrimeSet, key: int | None) -> bool:
+    """Whether the prime set S inverts the primes of a prime key."""
+    return s.is_all if key is None else key in s
 
 
 def group_rep(ambient_dim: int, generators) -> GroupRep:
@@ -268,7 +268,7 @@ def _member_scaled(g: GroupRep, y: tuple[int, ...], d: int) -> bool:
     """Whether y/d lies in G (y an integer vector, d a positive integer)."""
     if not any(y):
         return True
-    untagged = g._untagged_map
+    untagged = g.local().map
     if not untagged.in_span(y):
         return False
     # lcm of the coordinate denominators; only tagged primes may divide it
@@ -280,7 +280,7 @@ def _member_scaled(g: GroupRep, y: tuple[int, ...], d: int) -> bool:
     if rest != 1:
         return False
     for p in g.tagged_primes:
-        local = g._local_map(p)
+        local = g.local(p).map
         u = d * local.scale
         if u % p == 0 and (u // gcd(u, *local.numerators(y))) % p == 0:
             return False
@@ -295,9 +295,8 @@ def _member_scaled(g: GroupRep, y: tuple[int, ...], d: int) -> bool:
 def _divisible_along(g: GroupRep, y: tuple[int, ...], s: PrimeSet) -> bool:
     """Whether the integer vector y, lying in [G], lies in W_p for every p in S
     (in W_ALL for S = ALL), read as: its coordinates in the p-local map vanish."""
-    if s.is_all:
-        return not any(g._untagged_map.numerators(y))
-    return all(not any(g._local_map(p).numerators(y)) for p in s)
+    keys = (None,) if s.is_all else s
+    return all(not any(g.local(p).map.numerators(y)) for p in keys)
 
 
 def _piece_contained(g: GroupRep, v: Vec, s: PrimeSet) -> bool:
@@ -366,7 +365,7 @@ def _saturation_candidates(g: GroupRep, current: GroupRep, p: int) -> list[Vec]:
     idx = [i for i, (_v, s) in enumerate(current.generators) if p not in s]
     if not idx:
         return []
-    local = g._local_map(p)
+    local = g.local(p).map
     rows_modp: list[list[int]] = []
     for i in idx:
         y, d = integer_form(current.generators[i][0])
@@ -414,11 +413,11 @@ def _all_pattern_gap_primes(g: GroupRep, u: Subspace, seed: RationalLattice):
     directions.  Without fully divisible directions the two lattices agree
     and no extra primes arise.
     """
-    w = g.divisible_all_directions
+    w = g.divisible_directions()
     if w.dim == 0:
         return set()
     pi_u = Subspace.span([w.reduce(r) for r in u.rows], g.ambient_dim)
-    lam = g.reduced_hull.intersect_subspace(pi_u)
+    lam = g.local().lattice.intersect_subspace(pi_u)
     if lam.rank == 0:
         return set()
     pi_m = RationalLattice.from_generators(
@@ -494,15 +493,12 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
     gens: list[Generator] = []
     seed = g.lattice_hull.intersect_subspace(u)
     gens.extend((row, NO_PRIMES) for row in seed.rows)
-    for p in g.tagged_primes:
+    for p in (*g.tagged_primes, None):
         vp = u.intersect(g.divisible_directions(p))
         if vp.dim:
             inner = g.lattice_hull.intersect_subspace(vp)
-            gens.extend((row, prime_set([p])) for row in inner.rows)
-    v_all = u.intersect(g.divisible_all_directions)
-    if v_all.dim:
-        inner = g.lattice_hull.intersect_subspace(v_all)
-        gens.extend((row, ALL) for row in inner.rows)
+            s = ALL if p is None else prime_set([p])
+            gens.extend((row, s) for row in inner.rows)
 
     # at an untagged prime with W_ALL = 0 the seed is already pure
     primes = sorted(set(g.tagged_primes) | _all_pattern_gap_primes(g, u, seed))
@@ -547,9 +543,9 @@ def divisible_part(g: GroupRep, p) -> GroupRep:
     Equals the pure subgroup of the corresponding divisible directions.
     """
     if p == "ALL":
-        result = purify(g, g.divisible_all_directions)
+        result = purify(g, g.divisible_directions())
         for v, _s in result.generators:
-            if not g.divisible_all_directions.contains_vector(v):
+            if not g.divisible_directions().contains_vector(v):
                 raise RuntimeError("divisible part escapes its directions")
         return result
     p = int(p)
@@ -574,22 +570,49 @@ def element_type(g: GroupRep, a) -> DivisibilityType:
         raise ValueError("vector length mismatch")
     if not _member_scaled(g, y, d):
         raise GroupError("element does not lie in the group")
-    untagged = g._untagged_map
-    common = gcd(*untagged.numerators(y))
-    if not common:
+    m, _den = _content(g.local().map, y, d)
+    if not m:
         return div_type(1, ALL)
-    m = common // gcd(common, d * untagged.scale)
     inverted = []
     for p in g.tagged_primes:
         while m % p == 0:
             m //= p
-        local = g._local_map(p)
-        common = gcd(*local.numerators(y))
-        if not common:
+        num, den = _content(g.local(p).map, y, d)
+        if not num:
             inverted.append(p)
         else:
-            m *= p ** (valuation(common, p) - valuation(d * local.scale, p))
+            m *= p ** (valuation(num, p) - valuation(den, p))
     return div_type(m, prime_set(inverted))
+
+
+def _content(local: CoordinateMap, y: tuple[int, ...], d: int) -> tuple[int, int]:
+    """(c, u) in lowest terms for x = y/d: c/u is the gcd of x's coordinates in
+    the map, u their least common denominator (c = 0, u = 1 when all vanish)."""
+    c, u = gcd(*local.numerators(y)), d * local.scale
+    common = gcd(c, u)
+    return c // common, u // common
+
+
+def order_mod(g: GroupRep, y: tuple[int, ...], d: int) -> int:
+    """Least m >= 1 with m*x in G, for x = y/d in [G], read off g's coordinate maps.
+
+    Let D be the least common denominator of x's coordinates in the untagged
+    map, and D_p the one in the map at each tagged prime p.  m*x lies in G
+    exactly when D/gcd(D, m) is a product of tagged primes and p^v_p(D_p)
+    divides m at each tagged p (the test ``member`` applies to m*x).  So m is
+    D with the tagged primes divided out, times p^v_p(D_p) for each tagged p.
+    """
+    untagged = g.local().map
+    if not untagged.in_span(y):
+        raise SpanMismatch("vector outside the span of the group")
+    _c, m = _content(untagged, y, d)
+    for p in g.tagged_primes:
+        while m % p == 0:
+            m //= p
+        _c, den = _content(g.local(p).map, y, d)
+        if den % p == 0:
+            m *= p ** valuation(den, p)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +634,7 @@ class FiniteQuotient:
         self.group = g
         self.subgroup = a
         # parts: list of (p, [(exp, basis_index)...], V, sections) with
-        # exponents sorted descending within each prime; see _quotient_part_at.
+        # exponents sorted descending within each prime; see _quotient_parts_at.
         self._parts = parts
         depth = max((len(exps) for _p, exps, *_rest in parts), default=0)
         descending = []
@@ -637,7 +660,7 @@ class FiniteQuotient:
         k = len(self.invariant_factors)
         per_prime: dict[int, list[int]] = {}
         for p, exps, v, _sections in self._parts:
-            local = self.group._local_map(p)
+            local = self.group.local(p).map
             if not local.in_span(y):
                 raise GroupError("vector outside the group span")
             # x's coordinates c in G's map at p; c * V is x in the Smith basis
@@ -696,25 +719,22 @@ def index_and_quotient(g: GroupRep, a: GroupRep) -> QuotientDescription:
     if a.span != g.span:
         raise SpanMismatch("A does not span all of G; the quotient is not torsion")
 
-    for p in sorted(set(g.tagged_primes) | set(a.tagged_primes)):
+    tagged = sorted(set(g.tagged_primes) | set(a.tagged_primes))
+    for p in (*tagged, None):
         wg, wa = g.divisible_directions(p), a.divisible_directions(p)
-        if wg != wa:
-            return QuotientDescription(
-                "infinite", prime=p, direction=_direction_witness(g, wg, wa)
-            )
-    if g.divisible_all_directions != a.divisible_all_directions:
-        # the least prime tagged in neither group and dividing no lattice-hull
-        # entry (the least one outside both groups' active primes), found
-        # without factoring the entries
-        tagged = set(g.tagged_primes) | set(a.tagged_primes)
-        entries = [e for h in (g, a) for row in h.lattice_hull.rows for e in row if e]
-        p = 2
-        while p in tagged or any(e.numerator % p == 0 or e.denominator % p == 0 for e in entries):
-            p = next_prime(p)
-        witness = _direction_witness(
-            g, g.divisible_all_directions, a.divisible_all_directions
+        if wg == wa:
+            continue
+        if p is None:
+            # the least prime tagged in neither group and dividing no
+            # lattice-hull entry (the least one outside both groups' active
+            # primes), found without factoring the entries
+            entries = [e for h in (g, a) for row in h.lattice_hull.rows for e in row if e]
+            p = 2
+            while p in tagged or any(e.numerator % p == 0 or e.denominator % p == 0 for e in entries):
+                p = next_prime(p)
+        return QuotientDescription(
+            "infinite", prime=p, direction=_direction_witness(g, wg, wa)
         )
-        return QuotientDescription("infinite", prime=p, direction=witness)
 
     return QuotientDescription(
         "finite", quotient=FiniteQuotient(g, a, _finite_quotient_parts(g, a))
@@ -735,17 +755,17 @@ def _finite_quotient_parts(g: GroupRep, a: GroupRep):
     relevant = set(g.tagged_primes) | set(a.tagged_primes)
     # index_and_quotient has checked that A and G share W_ALL, so A's reduced
     # hull is taken modulo the same directions as G's.
-    l_g, l_a = g.reduced_hull, a.reduced_hull
+    l_g, l_a = g.local().lattice, a.local().lattice
     if l_g.rank != l_a.rank:
         raise RuntimeError("rank mismatch after divisible reduction")
     if l_g.rank:
         relevant |= _index_primes(l_g, l_a)
-    parts = []
+    # the primes of one prime key of G share its map, and so one Smith form
+    by_key: dict[int | None, list[int]] = {}
     for p in sorted(relevant):
-        part = _quotient_part_at(g, a, p)
-        if part is not None:
-            parts.append(part)
-    return parts
+        by_key.setdefault(g.prime_key(p), []).append(p)
+    parts = [part for key, primes in by_key.items() for part in _quotient_parts_at(g, a, key, primes)]
+    return sorted(parts, key=lambda part: part[0])
 
 
 def _coordinate_smith(local: CoordinateMap, rows):
@@ -767,37 +787,38 @@ def _coordinate_smith(local: CoordinateMap, rows):
     return s, d, v
 
 
-def _quotient_part_at(g: GroupRep, a: GroupRep, p: int):
-    """The p-primary part of G/A: exponents, a solving basis, and sections.
+def _quotient_parts_at(g: GroupRep, a: GroupRep, key: int | None, primes):
+    """The p-primary parts of G/A, for the primes p of one prime key of G:
+    exponents, a solving basis, and sections (parts with no exponent are left out).
 
-    Works modulo W_p, in the basis B of G's lattice at p (``_plocal_data``),
+    Works modulo W_p, in the basis B of G's lattice at p (``GroupRep.local``),
     where G's coordinate map at p reads off the coordinates of A's hull rows.
     That transition matrix is p-integral, and its Smith form U * M * V
     diagonalizes the quotient's p-part in the basis V^-1 * B.  Coordinates c
     in B become c * V in that basis.  The sections are elements of G's
     lattice hull realizing the cyclic summands.
     """
-    local = g._local_map(p)
+    local = g.local(key).map
     if not local.columns:
-        return None
+        return []
     denom, d, v = _coordinate_smith(local, a.lattice_hull.rows)
-    if denom % p == 0:
-        raise RuntimeError("p-local transition has p in a denominator")
-    exps = []
-    for i, di in enumerate(d):
-        e = valuation(di, p) if di % p == 0 else 0
-        if e > 0:
-            exps.append((e, i))
-    if not exps:
-        return None
-    exps.sort(key=lambda t: -t[0])
-    # B is the Hermite basis T * (hull mod W_p), so the section of basis row
-    # i of V^-1 * B is row i of V^-1 * T * hull
-    w = g._plocal_data(p)[0]
-    hull = g.lattice_hull.rows
-    _basis, transform = hermite_basis([w.reduce(r) for r in hull])
-    v_inv = mat_inverse(mat(v))
-    sections = tuple(
-        apply_matrix(apply_matrix(v_inv[i], transform), hull) for _e, i in exps
-    )
-    return (p, exps, v, sections)
+    transform = None
+    parts = []
+    for p in primes:
+        if denom % p == 0:
+            raise RuntimeError("p-local transition has p in a denominator")
+        exps = [(valuation(di, p), i) for i, di in enumerate(d) if di % p == 0]
+        if not exps:
+            continue
+        exps.sort(key=lambda t: -t[0])
+        if transform is None:
+            # B is the Hermite basis T * (hull mod W_p), so the section of
+            # basis row i of V^-1 * B is row i of V^-1 * T * hull
+            w, hull = g.divisible_directions(key), g.lattice_hull.rows
+            _basis, transform = hermite_basis([w.reduce(r) for r in hull])
+            v_inv = mat_inverse(mat(v))
+        sections = tuple(
+            apply_matrix(apply_matrix(v_inv[i], transform), hull) for _e, i in exps
+        )
+        parts.append((p, exps, v, sections))
+    return parts

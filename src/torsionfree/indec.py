@@ -162,7 +162,7 @@ def typeset_obstruction_certificate(g: GroupRep) -> SICertificate | None:
     every W_p contains W_ALL, which leaves at most one such line.  So the
     answer is None at once in either case.
     """
-    if g.rank != 2 or not g.divisible_all_directions.is_zero():
+    if g.rank != 2 or not g.divisible_directions().is_zero():
         return None
     lines = {g.divisible_directions(p) for p in g.tagged_primes}
     if sum(1 for w in lines if w.dim == 1) < 3:

@@ -70,9 +70,8 @@ def sufficient_exponent(g: GroupRep, x, extra: int = 2) -> int:
     """
     x = vec(x)
     bound = max(1, _entry_bound(g, x))
-    w = g.divisible_all_directions
-    reduced = w.reduce(x)
-    target = [e for e in (reduced[j] for j in g.reduced_hull.pivots) if e]
+    reduced = g.divisible_directions().reduce(x)
+    target = [e for e in (reduced[j] for j in g.local().lattice.pivots) if e]
     for p, offset, floor in _cached(g, "_oracle_prime_terms", _prime_terms):
         need = max((-valuation(e, p) for e in target), default=0)
         bound = max(bound, need + offset, floor)
@@ -81,9 +80,9 @@ def sufficient_exponent(g: GroupRep, x, extra: int = 2) -> int:
 
 def _prime_terms(g: GroupRep) -> list[tuple[int, int, int]]:
     """(p, (r - 1) * content + mu, 2 * mu) per tagged prime: the x-free terms."""
-    w = g.divisible_all_directions
+    w = g.divisible_directions()
     rows = [w.reduce(v) for v, s in g.generators if not s.is_all]
-    cols = g.reduced_hull.pivots  # the HNF of R: its pivots are span(R)'s
+    cols = g.local().lattice.pivots  # the HNF of R: its pivots are span(R)'s
     r = len(cols)
     cut = [tuple(row[j] for j in cols) for row in rows]
     minors = [m for m in map(det, combinations(cut, r)) if m]

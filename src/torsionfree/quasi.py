@@ -11,10 +11,11 @@ G.  Neither answer is a bounded search, so a None answer is a definite
 The strict witness is pinned down prime by prime: if r*H = G then, locally
 at p, the coordinate matrix of G's reduced lattice in H's (read off H's
 coordinate map at p) must have all its elementary divisors at the same
-p-valuation, and that common valuation is v_p(r).  Scanning the tagged
-primes (plus one untagged stand-in for all the rest) either forces a unique
-candidate or proves none exists.  The candidate is then re-verified with
-compare, so the answer never rests on the derivation alone.
+p-valuation, and that common valuation is v_p(r).  Scanning the prime keys
+(every tagged prime, and None for the untagged primes, which share one
+lattice) either forces a unique candidate or proves none exists.  The
+candidate is then re-verified with compare, so the answer never rests on the
+derivation alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .groups import (
     sum_groups,
 )
 from .linalg import Mat, mat, mat_inverse
-from .numutil import next_prime, valuation
+from .numutil import valuation
 
 
 @dataclass(frozen=True)
@@ -69,27 +70,22 @@ def quasi_equal_strict(h: GroupRep, g: GroupRep) -> QuasiWitness | None:
         raise ValueError("ambient dimension mismatch")
     if h.span != g.span:
         return None
-    if h.divisible_all_directions != g.divisible_all_directions:
-        return None
     tagged = sorted(set(h.tagged_primes) | set(g.tagged_primes))
-    for p in tagged:
-        if h.divisible_directions(p) != g.divisible_directions(p):
-            return None
+    keys = (*tagged, None)
+    if any(h.divisible_directions(p) != g.divisible_directions(p) for p in keys):
+        return None
     if h.rank == 0:
         return QuasiWitness(ratio=Fraction(1))
 
     r = Fraction(1)
-    fresh = 2
-    while fresh in tagged:
-        fresh = next_prime(fresh)
-    for p in (*tagged, fresh):
+    for p in keys:
         # G's lattice at p in H's basis: both are taken modulo the shared W_p
-        sigma, factors, _v = _coordinate_smith(h._local_map(p), g._plocal_data(p)[1].rows)
+        sigma, factors, _v = _coordinate_smith(h.local(p).map, g.local(p).lattice.rows)
         if not factors:
             continue
         ratios = [Fraction(d, sigma) for d in factors]
-        if p == fresh:
-            # one untagged prime sees the shared generic lattice; the
+        if p is None:
+            # the untagged primes see the shared generic lattice; the
             # constraint there covers every prime outside the tagged set
             parts = {_without_primes(q, tagged) for q in ratios}
             if len(parts) != 1:

@@ -24,10 +24,11 @@ from torsionfree.groups import (
     group_rep,
     index_and_quotient,
     member,
+    order_mod,
     subgroup_leq,
 )
 from torsionfree.indec import property_si_check, strong_decomposability_witness_search
-from torsionfree.linalg import solve_in_rows, vadd, vec, vscale
+from torsionfree.linalg import integer_form, solve_in_rows, vadd, vec, vscale
 from torsionfree.numutil import divisors
 
 
@@ -129,7 +130,7 @@ def test_order_matches_the_divisor_search(g, coeffs):
     for c, (v, _s) in zip(coeffs, g.generators):
         b = vadd(b, vscale(c, v))
     if any(b):
-        assert bases._order_mod_group(g, b) == divisor_search_order(g, b)
+        assert order_mod(g, *integer_form(b)) == divisor_search_order(g, b)
 
 
 class TestBRepresentation:

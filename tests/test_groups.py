@@ -17,6 +17,7 @@ from torsionfree.groups import (
     group_rep,
     index_and_quotient,
     member,
+    order_mod,
     purify,
     scale_group,
     simplify_presentation,
@@ -25,7 +26,7 @@ from torsionfree.groups import (
     zero_group,
 )
 from torsionfree import numutil
-from torsionfree.linalg import Subspace, vec, vscale
+from torsionfree.linalg import Subspace, integer_form, vadd, vec, vscale
 from torsionfree.numutil import primes_dividing, valuation
 from torsionfree.rank1 import format_type, parse_type
 
@@ -134,6 +135,42 @@ class TestMember:
             if not s.is_all:
                 for p in s:
                     assert member(g, vscale(F(1, p * p), v))
+
+
+class TestPerPrimeView:
+    @pytest.mark.parametrize("profile", ["cd", "mixed", "acd", "butler"])
+    def test_untagged_primes_share_one_view(self, profile):
+        for seed in range(5):
+            g = generate(profile, seed).group
+            untagged = [q for q in (2, 3, 5, 7, 11, 13, 10**9 + 7) if q not in g.tagged_primes]
+            assert untagged
+            for q in untagged:
+                assert g.local(q) is g.local()
+                assert g.divisible_directions(q) is g.divisible_directions()
+            for p in g.tagged_primes:
+                assert g.local(p) is g.local(p)
+                assert g.local(p).space is g.divisible_directions(p)
+            # one entry per prime key, however many primes were asked about
+            assert len(g._local_cache) == len(g.tagged_primes) + 1
+            assert len(g._w_cache) == len(g.tagged_primes) + 1
+
+    def test_none_is_the_all_data(self):
+        g = G1()
+        assert g.divisible_directions() == line(2, (0, 1))
+        assert g.local().lattice.rows == ((1, 0),)
+        assert g.local(2).map == g.local().map
+
+    @given(group_reps(), st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_member_agrees_with_order_mod(self, g, coeffs):
+        # x is an integer combination of the generators, so x lies in G, and
+        # x/p and x/p^2 probe the p-local test at tagged and untagged p
+        x = vec((0, 0))
+        for c, (v, _s) in zip(coeffs, g.generators):
+            x = vadd(x, vscale(c, v))
+        for q in (1, *SMALL_PRIMES, 7, 4, 9, 25, 49):
+            z = vscale(F(1, q), x)
+            assert member(g, z) == (order_mod(g, *integer_form(z)) == 1)
 
 
 class TestCompare:

@@ -125,6 +125,66 @@ def test_only_known_modules_substitute(path):
     assert read == (SUBSTITUTION if path.name in MAY_SUBSTITUTE else set())
 
 
+def private_members(source: str, cls: str) -> set[str]:
+    """The _-prefixed, non-dunder members of class cls: the names bound in its
+    body and the names it sets with object.__setattr__."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(item.name)
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                names.add(item.target.id)
+            elif isinstance(item, ast.Assign):
+                names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+        for call in ast.walk(node):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "__setattr__"
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "object"
+                and len(call.args) > 1
+                and isinstance(call.args[1], ast.Constant)
+            ):
+                names.add(call.args[1].value)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_detects_private_group_members():
+    source = (
+        "class GroupRep:\n"
+        "    size: int\n"
+        "    _limit = 3\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, '_cache', {})\n"
+        "    def _helper(self):\n"
+        "        pass\n"
+        "    def local(self):\n"
+        "        pass\n"
+    )
+    private = private_members(source, "GroupRep")
+    assert private == {"_limit", "_cache", "_helper"}
+    assert names_read("g.local()\nh._cache.get(1)\n", private) == {"_cache"}
+
+
+# the per-prime data of a group is read through GroupRep.local and
+# GroupRep.divisible_directions; its caches stay inside groups.py
+GROUP_INTERNALS = private_members((SRC / "groups.py").read_text(encoding="utf-8"), "GroupRep")
+
+
+def test_group_internals_are_found():
+    assert {"_w_cache", "_local_cache", "_purify_cache"} <= GROUP_INTERNALS
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_groups_reads_group_internals(path):
+    if path.name != "groups.py":
+        assert names_read(path.read_text(encoding="utf-8"), GROUP_INTERNALS) == set()
+
+
 def tracer_targets():
     """(module, attribute path) pairs that perfbench/tracer.py wraps with --trace 1."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
