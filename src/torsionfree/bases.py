@@ -89,10 +89,7 @@ def minimal_multiplier(g: GroupRep, elements) -> int:
         raise ValueError("the elements are dependent")
     if not (bspan.contains_subspace(g.span) and g.span.contains_subspace(bspan)):
         raise SpanMismatch("the elements do not span [G]")
-    m = 1
-    for b in elems:
-        m = lcm(m, order_mod(g, *integer_form(b)))
-    return m
+    return lcm(*(order_mod(g, *integer_form(b)) for b in elems))
 
 
 def b_representation(g: GroupRep, basis: BasisRecord, a) -> BRepresentation:
@@ -130,9 +127,7 @@ def extend_basis(g: GroupRep, h: GroupRep, c: BasisRecord) -> BasisRecord:
         enlarged = Subspace.span(list(c.elements) + new + [cand], g.ambient_dim)
         if enlarged.dim == space.dim + len(new) + 1:
             new.append(cand)
-    m = 1
-    for b in new:
-        m = lcm(m, order_mod(g, *integer_form(b)))
+    m = lcm(*(order_mod(g, *integer_form(b)) for b in new))
     return basis_record(g, c.elements + tuple(vscale(m, b) for b in new))
 
 

@@ -129,10 +129,7 @@ def parse_group_file(text: str) -> dict[str, GroupRep]:
     return out
 
 
-def format_prime_set(s: PrimeSet) -> str:
-    if s.is_all:
-        return "ALL"
-    return "{%s}" % ",".join(str(p) for p in s.primes)
+format_prime_set = PrimeSet.__repr__
 
 
 def format_group(name: str, g: GroupRep) -> str:

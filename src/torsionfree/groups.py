@@ -27,7 +27,10 @@ rational arithmetic and no factoring.
 Finite quotients read the same maps as membership: the p-part of G/A is the
 Smith form of the coordinates of A's hull rows in G's map at p, and the
 image of an element is its coordinates in that map.  Quasi-equality
-(``quasi``) and minimal multipliers (``order_mod``) read the maps too.
+(``quasi``) and minimal multipliers (``order_mod``) read the maps too, and
+so does presentation pruning (``simplify_presentation``): a generator goes
+when the others still give G's W_p and lattice at every prime key, read off
+the group's own per-prime data with no group built for the rest.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .linalg import (
     CoordinateMap,
@@ -47,6 +50,7 @@ from .linalg import (
     apply_matrix,
     direct_sum_projections,
     hermite_basis,
+    hermite_normal_form,
     integer_form,
     is_zero_vec,
     mat,
@@ -57,7 +61,7 @@ from .linalg import (
     vscale,
     zero_vec,
 )
-from .numutil import mod_p, next_prime, primes_dividing, valuation
+from .numutil import mod_p, next_prime, primes_dividing, strip_primes, valuation
 from .rank1 import ALL, NO_PRIMES, DivisibilityType, PrimeSet, div_type, prime_set
 
 Generator = tuple[Vec, PrimeSet]
@@ -273,11 +277,7 @@ def _member_scaled(g: GroupRep, y: tuple[int, ...], d: int) -> bool:
         return False
     # lcm of the coordinate denominators; only tagged primes may divide it
     u = d * untagged.scale
-    rest = u // gcd(u, *untagged.numerators(y))
-    for p in g.tagged_primes:
-        while rest % p == 0:
-            rest //= p
-    if rest != 1:
+    if strip_primes(u // gcd(u, *untagged.numerators(y)), g.tagged_primes) != 1:
         return False
     for p in g.tagged_primes:
         local = g.local(p).map
@@ -385,14 +385,6 @@ def _saturation_candidates(g: GroupRep, current: GroupRep, p: int) -> list[Vec]:
     return out
 
 
-def _tidy(gens: list[Generator], ambient: int) -> list[Generator]:
-    """Merge the untagged generators into one canonical lattice basis."""
-    plain = [v for v, s in gens if s == NO_PRIMES]
-    tagged = [(v, s) for v, s in gens if s != NO_PRIMES]
-    merged = RationalLattice.from_generators(plain, ambient)
-    return [(row, NO_PRIMES) for row in merged.rows] + tagged
-
-
 def _index_primes(outer: RationalLattice, inner: RationalLattice) -> set[int]:
     """The primes in [outer : inner] for lattices of one span: Hermite bases of
     one span share pivot columns, so the index is the ratio of the pivot products."""
@@ -490,27 +482,30 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
     if u.dim == 0:
         return zero_group(g.ambient_dim)
 
-    gens: list[Generator] = []
-    seed = g.lattice_hull.intersect_subspace(u)
-    gens.extend((row, NO_PRIMES) for row in seed.rows)
+    # the untagged lattice grows by saturation; the divisible pieces stay fixed
+    seed = lattice = g.lattice_hull.intersect_subspace(u)
+    pieces: list[Generator] = []
     for p in (*g.tagged_primes, None):
         vp = u.intersect(g.divisible_directions(p))
         if vp.dim:
             inner = g.lattice_hull.intersect_subspace(vp)
             s = ALL if p is None else prime_set([p])
-            gens.extend((row, s) for row in inner.rows)
+            pieces.extend((row, s) for row in inner.rows)
+
+    def presentation() -> GroupRep:
+        return group_rep(g.ambient_dim, [(row, NO_PRIMES) for row in lattice.rows] + pieces)
 
     # at an untagged prime with W_ALL = 0 the seed is already pure
     primes = sorted(set(g.tagged_primes) | _all_pattern_gap_primes(g, u, seed))
 
-    current = group_rep(g.ambient_dim, _tidy(gens, g.ambient_dim))
+    current = presentation()
     for _round in range(256):
         changed = False
         for p in primes:
             for z in _saturation_candidates(g, current, p):
                 if not member(current, z):
-                    gens = list(current.generators) + [(z, NO_PRIMES)]
-                    current = group_rep(g.ambient_dim, _tidy(gens, g.ambient_dim))
+                    lattice = RationalLattice.from_generators((*lattice.rows, z), g.ambient_dim)
+                    current = presentation()
                     changed = True
         if not changed:
             return simplify_presentation(current)
@@ -518,18 +513,43 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
 
 
 def simplify_presentation(g: GroupRep) -> GroupRep:
-    """Drop generators whose whole rank-1 piece lies in the sum of the rest."""
-    gens = list(g.generators)
-    changed = True
-    while changed and len(gens) > 1:
-        changed = False
-        for i in range(len(gens)):
-            rest = GroupRep(g.ambient_dim, tuple(gens[:i] + gens[i + 1 :]))
-            if _piece_contained(rest, *gens[i]):
-                gens = list(rest.generators)
-                changed = True
-                break
-    return GroupRep(g.ambient_dim, tuple(gens))
+    """Drop generators whose whole rank-1 piece lies in the sum of the rest.
+
+    Each drop leaves G alone, so ``_sums_to`` decides it from g's own data.
+    One pass suffices: a generator kept once stays needed, since later drops
+    only shrink the sum of the others.
+    """
+    kept: list[Generator] = []
+    for i, gen in enumerate(g.generators):
+        rest = kept + list(g.generators[i + 1 :])
+        if not (rest and _sums_to(g, rest)):
+            kept.append(gen)
+    return GroupRep(g.ambient_dim, tuple(kept))
+
+
+def _sums_to(g: GroupRep, gens: list[Generator]) -> bool:
+    """Whether some of g's generators still sum to G, read off g's local maps.
+
+    At a prime l their sum localizes to W + Z_(l)*L, W spanned by the pieces
+    inverted at l and L by the others; it is G_(l) iff W = W_l and L has
+    index prime to l in G's lattice at l.  That index is the product of the
+    Hermite pivots of L's (integer) coordinates in G's map at l's prime key.
+    """
+    for key in (*g.tagged_primes, None):
+        divisible = [v for v, s in gens if _inverted_at(s, key)]
+        if Subspace.span(divisible, g.ambient_dim).dim != g.divisible_directions(key).dim:
+            return False
+        local = g.local(key).map
+        rows = []
+        for y, d in (integer_form(v) for v, s in gens if not _inverted_at(s, key)):
+            rows.append([n // (d * local.scale) for n in local.numerators(y)])
+        h, _u = hermite_normal_form(rows)
+        rank = len(local.columns)
+        index = prod(h[i][i] for i in range(rank)) if len(h) >= rank else 0
+        # untagged primes share the None key: only tagged primes may divide it
+        if not index or (index % key == 0 if key else strip_primes(index, g.tagged_primes) > 1):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -568,21 +588,23 @@ def element_type(g: GroupRep, a) -> DivisibilityType:
     y, d = integer_form(a)
     if len(y) != g.ambient_dim:
         raise ValueError("vector length mismatch")
-    if not _member_scaled(g, y, d):
+    # member's test, read off the same contents as the heights
+    untagged = g.local().map
+    m, den = _content(untagged, y, d)
+    local = {p: _content(g.local(p).map, y, d) for p in g.tagged_primes}
+    if (
+        not untagged.in_span(y)
+        or strip_primes(den, g.tagged_primes) != 1
+        or any(u % p == 0 for p, (_c, u) in local.items())
+    ):
         raise GroupError("element does not lie in the group")
-    m, _den = _content(g.local().map, y, d)
     if not m:
         return div_type(1, ALL)
-    inverted = []
-    for p in g.tagged_primes:
-        while m % p == 0:
-            m //= p
-        num, den = _content(g.local(p).map, y, d)
-        if not num:
-            inverted.append(p)
-        else:
-            m *= p ** (valuation(num, p) - valuation(den, p))
-    return div_type(m, prime_set(inverted))
+    m = strip_primes(m, g.tagged_primes)
+    for p, (num, _u) in local.items():
+        if num:
+            m *= p ** valuation(num, p)
+    return div_type(m, prime_set(p for p, (num, _u) in local.items() if not num))
 
 
 def _content(local: CoordinateMap, y: tuple[int, ...], d: int) -> tuple[int, int]:
@@ -606,9 +628,8 @@ def order_mod(g: GroupRep, y: tuple[int, ...], d: int) -> int:
     if not untagged.in_span(y):
         raise SpanMismatch("vector outside the span of the group")
     _c, m = _content(untagged, y, d)
+    m = strip_primes(m, g.tagged_primes)
     for p in g.tagged_primes:
-        while m % p == 0:
-            m //= p
         _c, den = _content(g.local(p).map, y, d)
         if den % p == 0:
             m *= p ** valuation(den, p)
@@ -637,19 +658,12 @@ class FiniteQuotient:
         # exponents sorted descending within each prime; see _quotient_parts_at.
         self._parts = parts
         depth = max((len(exps) for _p, exps, *_rest in parts), default=0)
-        descending = []
-        for j in range(depth):
-            d = 1
-            for p, exps, *_rest in parts:
-                if j < len(exps):
-                    d *= p ** exps[j][0]
-            descending.append(d)
+        descending = [
+            prod(p ** exps[j][0] for p, exps, *_rest in parts if j < len(exps)) for j in range(depth)
+        ]
         self.invariant_factors = tuple(reversed(descending))
         self.exponent = self.invariant_factors[-1] if self.invariant_factors else 1
-        order = 1
-        for d in self.invariant_factors:
-            order *= d
-        self.order = order
+        self.order = prod(self.invariant_factors)
         self.generator_images = tuple(self.image(v) for v, _s in g.generators)
 
     def image(self, x) -> tuple[int, ...]:

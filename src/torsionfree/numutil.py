@@ -104,6 +104,16 @@ def next_prime(n: int) -> int:
     return k
 
 
+def strip_primes(n: int, primes) -> int:
+    """The nonzero integer n with every prime of the finite collection divided out."""
+    if not n:
+        raise ValueError("cannot divide primes out of zero")
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
 def valuation(q: Fraction | int, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
     q = Fraction(q)

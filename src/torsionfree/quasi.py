@@ -38,7 +38,7 @@ from .groups import (
     sum_groups,
 )
 from .linalg import Mat, mat, mat_inverse
-from .numutil import valuation
+from .numutil import strip_primes, valuation
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,6 @@ class QuasiWitness:
 
     ratio: Fraction | None = None
     pair: tuple[int, int] | None = None
-
-
-def _without_primes(q: Fraction, primes) -> Fraction:
-    num, den = q.numerator, q.denominator
-    for p in primes:
-        while num % p == 0:
-            num //= p
-        while den % p == 0:
-            den //= p
-    return Fraction(num, den)
 
 
 def quasi_equal_strict(h: GroupRep, g: GroupRep) -> QuasiWitness | None:
@@ -83,16 +73,15 @@ def quasi_equal_strict(h: GroupRep, g: GroupRep) -> QuasiWitness | None:
         sigma, factors, _v = _coordinate_smith(h.local(p).map, g.local(p).lattice.rows)
         if not factors:
             continue
-        ratios = [Fraction(d, sigma) for d in factors]
         if p is None:
             # the untagged primes see the shared generic lattice; the
             # constraint there covers every prime outside the tagged set
-            parts = {_without_primes(q, tagged) for q in ratios}
+            parts = {strip_primes(d, tagged) for d in factors}
             if len(parts) != 1:
                 return None
-            r *= parts.pop()
+            r *= Fraction(parts.pop(), strip_primes(sigma, tagged))
         else:
-            vals = {valuation(q, p) for q in ratios}
+            vals = {valuation(Fraction(d, sigma), p) for d in factors}
             if len(vals) != 1:
                 return None
             r *= Fraction(p) ** vals.pop()

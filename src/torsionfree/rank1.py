@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numutil import is_prime
+from .numutil import is_prime, strip_primes
 
 
 @dataclass(frozen=True, order=True)
@@ -102,7 +102,7 @@ class DivisibilityType:
             return True
         if self.inverted.is_all:
             return True
-        return _strip((self.multiplier * q).denominator, self.inverted) == 1
+        return strip_primes((self.multiplier * q).denominator, self.inverted) == 1
 
 
 TYPE_Z = DivisibilityType(1, NO_PRIMES)
@@ -117,15 +117,7 @@ def div_type(multiplier: int, inverted) -> DivisibilityType:
         raise ValueError("multiplier must be positive")
     if s.is_all:
         return DivisibilityType(1, ALL)
-    return DivisibilityType(_strip(m, s), s)
-
-
-def _strip(n: int, s: PrimeSet) -> int:
-    """n with the primes of the finite set s divided out."""
-    for p in s:
-        while n % p == 0:
-            n //= p
-    return n
+    return DivisibilityType(strip_primes(m, s), s)
 
 
 def type_leq(a: DivisibilityType, b: DivisibilityType) -> bool:
@@ -137,7 +129,7 @@ def type_leq(a: DivisibilityType, b: DivisibilityType) -> bool:
     if not a.inverted.is_subset(b.inverted):
         return False
     # 1/a.m must lie in b: the part of a.m outside b's inverted set divides b.m
-    return b.multiplier % _strip(a.multiplier, b.inverted) == 0
+    return b.multiplier % strip_primes(a.multiplier, b.inverted) == 0
 
 
 def type_eq(a: DivisibilityType, b: DivisibilityType) -> bool:
@@ -157,7 +149,7 @@ def type_meet(a: DivisibilityType, b: DivisibilityType) -> DivisibilityType:
     if b.inverted.is_all:
         return a
     ma, mb = a.multiplier, b.multiplier
-    m = math.gcd(ma, mb) * (mb // _strip(mb, a.inverted)) * (ma // _strip(ma, b.inverted))
+    m = math.gcd(ma, mb) * (mb // strip_primes(mb, a.inverted)) * (ma // strip_primes(ma, b.inverted))
     return div_type(m, a.inverted.intersect(b.inverted))
 
 
@@ -184,7 +176,7 @@ def scale_type(t: DivisibilityType, r: Fraction | int) -> DivisibilityType:
         raise ValueError("cannot scale a type by zero")
     if t.inverted.is_all:
         return TYPE_Q
-    num, den = _strip(abs(r.numerator), t.inverted), _strip(r.denominator, t.inverted)
+    num, den = strip_primes(abs(r.numerator), t.inverted), strip_primes(r.denominator, t.inverted)
     new_m_num = t.multiplier * den
     if new_m_num % num != 0:
         raise ValueError("%s * %s is not a unit-form divisibility type" % (r, format_type(t)))

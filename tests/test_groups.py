@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from strategies import SMALL_PRIMES, group_reps, nonzero_group_reps, vectors
 from torsionfree.corpus import generate
+from torsionfree import groups
 from torsionfree.groups import (
     Compare,
     GroupError,
+    GroupRep,
     NotASubgroup,
     SpanMismatch,
     compare,
@@ -26,9 +28,9 @@ from torsionfree.groups import (
     zero_group,
 )
 from torsionfree import numutil
-from torsionfree.linalg import Subspace, integer_form, vadd, vec, vscale
+from torsionfree.linalg import CoordinateMap, Subspace, integer_form, vadd, vec, vscale
 from torsionfree.numutil import primes_dividing, valuation
-from torsionfree.rank1 import format_type, parse_type
+from torsionfree.rank1 import ALL, NO_PRIMES, format_type, parse_type, prime_set
 
 
 def G1():
@@ -341,6 +343,31 @@ class TestElementType:
         assert t.contains(F(1, p)) == member(g, vscale(F(1, p), v))
 
 
+    @given(group_reps(), vectors(2))
+    @settings(max_examples=80, deadline=None)
+    def test_raises_exactly_off_the_group(self, g, x):
+        if member(g, x):
+            element_type(g, x)
+        else:
+            with pytest.raises(GroupError):
+                element_type(g, x)
+
+    def test_reads_each_prime_key_once(self, monkeypatch):
+        g = G2()
+        keys = (*g.tagged_primes, None)
+        for key in keys:
+            g.local(key).map
+        calls = []
+        numerators = CoordinateMap.numerators
+
+        def counting(self, y):
+            calls.append(y)
+            return numerators(self, y)
+
+        monkeypatch.setattr(CoordinateMap, "numerators", counting)
+        assert element_type(g, (1, 1)) == parse_type("Z[5]")
+        assert len(calls) == len(keys)
+
     @given(
         nonzero_group_reps(ambient=3),
         st.lists(st.integers(-3, 3), min_size=3, max_size=3),
@@ -488,3 +515,92 @@ class TestPresentation:
     @settings(max_examples=40, deadline=None)
     def test_simplify_preserves_group(self, g):
         assert compare(simplify_presentation(g), g) is Compare.EQUAL
+
+
+def restart_simplify(g):
+    """The reference pruning: drop the first generator whose piece lies in a
+    group built from the rest, then start again from the front."""
+    gens = list(g.generators)
+    changed = True
+    while changed and len(gens) > 1:
+        changed = False
+        for i in range(len(gens)):
+            rest = GroupRep(g.ambient_dim, tuple(gens[:i] + gens[i + 1 :]))
+            if subgroup_leq(GroupRep(g.ambient_dim, (gens[i],)), rest):
+                gens = list(rest.generators)
+                changed = True
+                break
+    return GroupRep(g.ambient_dim, tuple(gens))
+
+
+def presentations_before_pruning():
+    """The saturated presentations that purify hands to simplify_presentation
+    on corpus groups, collected by wrapping it."""
+    seen = []
+
+    def recording(g):
+        seen.append(g)
+        return restart_simplify(g)
+
+    original, groups.simplify_presentation = groups.simplify_presentation, recording
+    try:
+        for profile in ("cd", "acd", "butler", "mixed"):
+            for seed in range(10):
+                g = generate(profile, seed).group
+                for v, _s in g.generators:
+                    purify(g, line(g.ambient_dim, v))
+                purify(g, g.divisible_directions())
+                for p in g.tagged_primes:
+                    purify(g, g.divisible_directions(p))
+    finally:
+        groups.simplify_presentation = original
+    return seen
+
+
+class TestPruning:
+    @given(group_reps(ambient=3, max_gens=5))
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_matches_the_restart_loop(self, g):
+        assert simplify_presentation(g).generators == restart_simplify(g).generators
+
+    def test_one_pass_matches_the_restart_loop_inside_purify(self):
+        inputs = presentations_before_pruning()
+        assert len(inputs) > 100
+        for g in inputs:
+            assert simplify_presentation(g).generators == restart_simplify(g).generators
+
+    def test_builds_only_its_result(self, monkeypatch):
+        g = group_rep(2, [((1, 0), (2,)), ((F(1, 2), 0), ()), ((2, 0), ()), ((0, 1), (3,)), ((0, 1), ())])
+        built = []
+        post_init = GroupRep.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(GroupRep, "__post_init__", counting)
+        s = simplify_presentation(g)
+        assert built == [s]
+        assert s.generators == (((1, 0), prime_set([2])), ((0, 1), prime_set([3])))
+
+    def test_keeps_the_all_piece_that_w_all_needs(self):
+        g = group_rep(2, [((0, 1), ()), ((0, 1), "ALL"), ((1, 0), ())])
+        gens = list(g.generators)
+        assert not groups._sums_to(g, gens[:1] + gens[2:])
+        assert groups._sums_to(g, gens[1:])
+        assert simplify_presentation(g).generators == tuple(gens[1:])
+
+    def test_drops_the_lattice_copy_of_a_local_piece(self):
+        # Z[1/2]*e1 given as (e1, {2}) and (e1/2, {}): the second is redundant
+        g = group_rep(2, [((1, 0), (2,)), ((F(1, 2), 0), ()), ((0, 1), ())])
+        gens = list(g.generators)
+        assert not groups._sums_to(g, gens[1:])
+        assert groups._sums_to(g, [gens[0], gens[2]])
+        assert simplify_presentation(g).generators == (gens[0], gens[2])
+
+    def test_dropping_the_only_tagged_piece_untags_its_prime(self):
+        g = group_rep(2, [((2, 0), (3,)), ((1, 0), "ALL"), ((0, 1), ())])
+        s = simplify_presentation(g)
+        assert s.generators == (((1, 0), ALL), ((0, 1), NO_PRIMES))
+        assert g.tagged_primes == (3,) and s.tagged_primes == ()
+        assert compare(s, g) is Compare.EQUAL

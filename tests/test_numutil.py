@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from torsionfree.numutil import is_prime
+from torsionfree.numutil import is_prime, strip_primes
 
 
 def _trial_division(n):
@@ -44,3 +44,11 @@ def test_composite_past_the_proven_range_has_a_witness():
     n = (2**61 - 1) * 1000000000000000003
     assert n > 3_317_044_064_679_887_385_961_981
     assert not is_prime(n)
+
+
+def test_strip_primes_divides_out_only_the_given_primes():
+    assert strip_primes(2**5 * 3 * 7**2, (2, 7)) == 3
+    assert strip_primes(-12, (2,)) == -3
+    assert strip_primes(35, ()) == 35
+    with pytest.raises(ValueError):
+        strip_primes(0, (2,))
