@@ -27,10 +27,18 @@ rational arithmetic and no factoring.
 Finite quotients read the same maps as membership: the p-part of G/A is the
 Smith form of the coordinates of A's hull rows in G's map at p, and the
 image of an element is its coordinates in that map.  Quasi-equality
-(``quasi``) and minimal multipliers (``order_mod``) read the maps too, and
-so does presentation pruning (``simplify_presentation``): a generator goes
-when the others still give G's W_p and lattice at every prime key, read off
-the group's own per-prime data with no group built for the rest.
+(``quasi``) and minimal multipliers (``order_mod``) read the maps too.
+
+So does purification.  The pure subgroup H = U ∩ G of a subspace U starts
+from the lattice hull inside U plus the pieces U ∩ W_p, and is saturated at
+the tagged primes and at the untagged primes where that seed can fall
+short.  G's map at p is one-to-one on U modulo U ∩ W_p, so it sees the
+p-local part of every group between the seed and H exactly.  At p, the
+vectors (sum c_i h_i)/p that lie in G come from the kernel of the current
+generators' coordinates mod p, and those already in the current group from
+the coordinates' integer relations.  Pruning (``simplify_presentation``)
+drops a generator when the others still give H's W_p and lattice at every
+prime key, read in the same maps.  ``purify`` builds one group: its result.
 """
 
 from __future__ import annotations
@@ -52,16 +60,15 @@ from .linalg import (
     hermite_basis,
     hermite_normal_form,
     integer_form,
+    integer_kernel,
     is_zero_vec,
     mat,
     mat_inverse,
     smith_normal_form,
-    vadd,
     vec,
     vscale,
-    zero_vec,
 )
-from .numutil import mod_p, next_prime, primes_dividing, strip_primes, valuation
+from .numutil import next_prime, primes_dividing, strip_primes, valuation
 from .rank1 import ALL, NO_PRIMES, DivisibilityType, PrimeSet, div_type, prime_set
 
 Generator = tuple[Vec, PrimeSet]
@@ -116,6 +123,7 @@ class GroupRep:
         object.__setattr__(self, "_w_cache", {})
         object.__setattr__(self, "_local_cache", {})
         object.__setattr__(self, "_purify_cache", {})
+        object.__setattr__(self, "_kind_cache", {})
 
     # -- structural data, derived on first use --------------------------------
 
@@ -354,34 +362,63 @@ def _fp_left_kernel(rows: list[list[int]], p: int, nrows: int) -> list[list[int]
     return [ident[r] for r in range(rank, nrows)]
 
 
-def _saturation_candidates(g: GroupRep, current: GroupRep, p: int) -> list[Vec]:
-    """Vectors z = (sum c_i g_i)/p lying in G, found from an F_p kernel.
+def _fp_extend(basis: list[tuple[int, list[int]]], c, p: int) -> bool:
+    """Add c to an echelon basis over F_p, unless c lies in its span already.
 
-    The coefficient vectors c run over the kernel of the mod-p reduction of
-    the map sending coefficients of current's generators to G/pG; every
-    kernel vector yields an element of G, and conversely every element of G
-    of the form (combination)/p reduces, modulo current, to a kernel one.
+    Each basis row is monic at its pivot and zero at the pivots of the rows
+    before it, so reducing c by the rows in order leaves zero exactly when c
+    lies in their span.
     """
-    idx = [i for i, (_v, s) in enumerate(current.generators) if p not in s]
-    if not idx:
-        return []
+    c = [e % p for e in c]
+    for piv, row in basis:
+        f = c[piv]
+        if f:
+            c = [(a - f * b) % p for a, b in zip(c, row)]
+    piv = next((j for j, e in enumerate(c) if e), None)
+    if piv is None:
+        return False
+    inv = pow(c[piv], -1, p)
+    basis.append((piv, [e * inv % p for e in c]))
+    return True
+
+
+def _saturation(g: GroupRep, gens: list[Vec], p: int) -> list[Vec]:
+    """The vectors z = (sum c_i g_i)/p that saturating C at p adjoins.
+
+    C is the current group: ``gens``, its generators not inverted at p, plus
+    pieces inverted at p that span U ∩ W_p.  The c run in order over the
+    kernel of the gens' coordinates mod p in G's map at p, so every z lies
+    in G.  Away from p, 1/p is a unit and z lies in C.  At p, G's map is
+    one-to-one on U modulo U ∩ W_p, so z lies in C iff c is, mod p, an
+    integer relation among the coordinates plus a combination of the c
+    already taken.  Such c are skipped; the others are taken.
+    """
     local = g.local(p).map
-    rows_modp: list[list[int]] = []
-    for i in idx:
-        y, d = integer_form(current.generators[i][0])
+    forms = [integer_form(v) for v in gens]
+    coords = []
+    for y, d in forms:
         if not local.in_span(y):
             raise RuntimeError("generator escapes the group span")
-        u = d * local.scale
-        rows_modp.append([mod_p(Fraction(t, u), p) for t in local.numerators(y)])
+        coords.append((local.numerators(y), d * local.scale))
+    den = lcm(*[u for _n, u in coords])
+    rows = [[n * (den // u) for n in nums] for nums, u in coords]
+    # the coordinates n/den are p-integral: p's part of den divides every n
+    pe = p ** valuation(den, p)
+    unit = pow(den // pe, -1, p)
+    kernel = _fp_left_kernel([[n // pe * unit % p for n in r] for r in rows], p, len(gens))
+    if not kernel:
+        return []
+    taken: list[tuple[int, list[int]]] = []
+    for relation in integer_kernel(rows):
+        _fp_extend(taken, relation, p)
+    common = lcm(*[d for _y, d in forms])
     out = []
-    for coeffs in _fp_left_kernel(rows_modp, p, len(idx)):
-        z = zero_vec(g.ambient_dim)
-        for c, i in zip(coeffs, idx):
-            if c:
-                z = vadd(z, vscale(c, current.generators[i][0]))
-        z = vscale(Fraction(1, p), z)
-        if not is_zero_vec(z):
-            out.append(z)
+    for c in kernel:
+        if _fp_extend(taken, c, p):
+            terms = [(ci * (common // d), y) for ci, (y, d) in zip(c, forms) if ci]
+            out.append(tuple(
+                Fraction(sum(k * y[j] for k, y in terms), common * p) for j in range(g.ambient_dim)
+            ))
     return out
 
 
@@ -457,8 +494,16 @@ def pure_sum_kind(g: GroupRep, spaces) -> SplitKind:
     the identity minus the others, so it needs no test.  The projections
     come from one elimination of the spaces' integer rows, and the tests
     read g's own coordinate maps: no hull and no sum group is built.
+    Verdicts are memoised on g by the tuple of spaces; errors are not.
     """
     spaces = tuple(spaces)
+    kind = g._kind_cache.get(spaces)
+    if kind is None:
+        kind = g._kind_cache[spaces] = _pure_sum_kind(g, spaces)
+    return kind
+
+
+def _pure_sum_kind(g: GroupRep, spaces: tuple[Subspace, ...]) -> SplitKind:
     total, images, d = direct_sum_projections(spaces, g.ambient_dim)
     if total != g.span:
         raise SpanMismatch("the subspaces do not span the group")
@@ -492,64 +537,93 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
             s = ALL if p is None else prime_set([p])
             pieces.extend((row, s) for row in inner.rows)
 
-    def presentation() -> GroupRep:
-        return group_rep(g.ambient_dim, [(row, NO_PRIMES) for row in lattice.rows] + pieces)
-
     # at an untagged prime with W_ALL = 0 the seed is already pure
     primes = sorted(set(g.tagged_primes) | _all_pattern_gap_primes(g, u, seed))
 
-    current = presentation()
     for _round in range(256):
         changed = False
         for p in primes:
-            for z in _saturation_candidates(g, current, p):
-                if not member(current, z):
-                    lattice = RationalLattice.from_generators((*lattice.rows, z), g.ambient_dim)
-                    current = presentation()
-                    changed = True
+            added = _saturation(g, [*lattice.rows, *(v for v, s in pieces if p not in s)], p)
+            if added:
+                lattice = RationalLattice.from_generators((*lattice.rows, *added), g.ambient_dim)
+                changed = True
         if not changed:
-            return simplify_presentation(current)
+            return simplify_presentation(g, [(row, NO_PRIMES) for row in lattice.rows] + pieces)
     raise RuntimeError("purification failed to stabilize (internal error)")
 
 
-def simplify_presentation(g: GroupRep) -> GroupRep:
+def simplify_presentation(g: GroupRep, gens=None) -> GroupRep:
     """Drop generators whose whole rank-1 piece lies in the sum of the rest.
 
-    Each drop leaves G alone, so ``_sums_to`` decides it from g's own data.
-    One pass suffices: a generator kept once stays needed, since later drops
-    only shrink the sum of the others.
+    ``gens`` present a pure subgroup H of g, g itself by default, and the
+    result presents H.  Each drop leaves H alone, so ``_drop_test`` decides
+    it from g's own per-prime maps.  One pass suffices: a generator kept once
+    stays needed, since later drops only shrink the sum of the others.
     """
-    kept: list[Generator] = []
-    for i, gen in enumerate(g.generators):
-        rest = kept + list(g.generators[i + 1 :])
-        if not (rest and _sums_to(g, rest)):
-            kept.append(gen)
-    return GroupRep(g.ambient_dim, tuple(kept))
+    gens = list(g.generators if gens is None else gens)
+    can_drop = _drop_test(g, gens)
+    kept: list[int] = []
+    for i in range(len(gens)):
+        rest = kept + list(range(i + 1, len(gens)))
+        if not (rest and can_drop(i, rest)):
+            kept.append(i)
+    return GroupRep(g.ambient_dim, tuple(gens[i] for i in kept))
 
 
-def _sums_to(g: GroupRep, gens: list[Generator]) -> bool:
-    """Whether some of g's generators still sum to G, read off g's local maps.
+def _hermite_pivots(rows) -> list[int]:
+    """The pivot entries of the Hermite form of integer rows."""
+    h, _u = hermite_normal_form(rows)
+    return [next(e for e in r if e) for r in h if any(r)]
 
-    At a prime l their sum localizes to W + Z_(l)*L, W spanned by the pieces
-    inverted at l and L by the others; it is G_(l) iff W = W_l and L has
-    index prime to l in G's lattice at l.  That index is the product of the
-    Hermite pivots of L's (integer) coordinates in G's map at l's prime key.
+
+def _drop_test(g: GroupRep, gens: list[Generator]):
+    """A test of whether gens[i] can go from gens[i] and ``rest``, which sum to H.
+
+    H, the sum of all the gens, must be pure in G, so that at each prime
+    key its divisible directions are [H] ∩ W_p and G's map at the key is
+    one-to-one on H modulo them.  At a prime l a sum of pieces localizes to
+    W + Z_(l)*L, W spanned by the pieces inverted at l and L by the others;
+    it is H_(l) iff W is H's W_l and L has index prime to l in H's lattice
+    at l.  In G's map at l's prime key, that index is the ratio of the
+    Hermite pivot products of L's coordinates and of all the gens'
+    coordinates.  Dropping gens[i] changes W at the keys that invert it and
+    L at the others, so each key needs one of the two checks.  The integer
+    forms and the coordinates, over one denominator, are read once per call.
     """
+    forms = [integer_form(v) for v, _s in gens]
+    common = lcm(*[d for _y, d in forms])
+    per_key = []
     for key in (*g.tagged_primes, None):
-        divisible = [v for v, s in gens if _inverted_at(s, key)]
-        if Subspace.span(divisible, g.ambient_dim).dim != g.divisible_directions(key).dim:
-            return False
         local = g.local(key).map
-        rows = []
-        for y, d in (integer_form(v) for v, s in gens if not _inverted_at(s, key)):
-            rows.append([n // (d * local.scale) for n in local.numerators(y)])
-        h, _u = hermite_normal_form(rows)
-        rank = len(local.columns)
-        index = prod(h[i][i] for i in range(rank)) if len(h) >= rank else 0
-        # untagged primes share the None key: only tagged primes may divide it
-        if not index or (index % key == 0 if key else strip_primes(index, g.tagged_primes) > 1):
-            return False
-    return True
+        rows = [
+            None if _inverted_at(s, key) else [n * (common // d) for n in local.numerators(y)]
+            for (_v, s), (y, d) in zip(gens, forms)
+        ]
+        content = gcd(*[e for r in rows if r for e in r]) or 1
+        rows = [None if r is None else [e // content for e in r] for r in rows]
+        divisible = [y for r, (y, _d) in zip(rows, forms) if r is None]
+        pivots = _hermite_pivots([r for r in rows if r is not None])
+        per_key.append(
+            (key, rows, Subspace.span(divisible, g.ambient_dim).dim, len(pivots), prod(pivots))
+        )
+
+    def can_drop(i: int, rest: list[int]) -> bool:
+        for key, rows, dim, rank, full in per_key:
+            if rows[i] is None:
+                divisible = [forms[j][0] for j in rest if rows[j] is None]
+                if Subspace.span(divisible, g.ambient_dim).dim < dim:
+                    return False
+                continue
+            pivots = _hermite_pivots([rows[j] for j in rest if rows[j] is not None])
+            if len(pivots) < rank:
+                return False
+            index = prod(pivots) // full
+            # untagged primes share the None key: only tagged primes may divide it
+            if index % key == 0 if key else strip_primes(index, g.tagged_primes) > 1:
+                return False
+        return True
+
+    return can_drop
 
 
 # ---------------------------------------------------------------------------

@@ -589,8 +589,15 @@ class RationalLattice:
         constraints = [[e * (scale // s) for e in r] for r, s in residuals]
         content = gcd(*[e for r in constraints for e in r]) or 1
         kernel = integer_kernel([[e // content for e in r] for r in constraints])
-        gens = [apply_matrix(vec(k), self.rows) for k in kernel]
-        return RationalLattice.from_generators(gens, self.ambient_dim)
+        # c * (s * rows) over the rows' common denominator s: HNF(s*L)/s is
+        # the canonical basis of L whatever the integral scale s
+        flat, s = integer_form([e for r in self.rows for e in r])
+        n = self.ambient_dim
+        ints = [flat[i * n : (i + 1) * n] for i in range(self.rank)]
+        h, _u = hermite_normal_form(
+            [[sum(map(mul, k, col)) for col in zip(*ints)] for k in kernel]
+        )
+        return RationalLattice(n, tuple(tuple(Fraction(e, s) for e in r) for r in h if any(r)))
 
 
 # ---------------------------------------------------------------------------

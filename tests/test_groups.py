@@ -28,7 +28,7 @@ from torsionfree.groups import (
     zero_group,
 )
 from torsionfree import numutil
-from torsionfree.linalg import CoordinateMap, Subspace, integer_form, vadd, vec, vscale
+from torsionfree.linalg import CoordinateMap, RationalLattice, Subspace, integer_form, vadd, vec, vscale
 from torsionfree.numutil import primes_dividing, valuation
 from torsionfree.rank1 import ALL, NO_PRIMES, format_type, parse_type, prime_set
 
@@ -535,14 +535,15 @@ def restart_simplify(g):
 
 def presentations_before_pruning():
     """The saturated presentations that purify hands to simplify_presentation
-    on corpus groups, collected by wrapping it."""
+    on corpus groups, collected by wrapping it: (group, hull generators)."""
     seen = []
+    original = groups.simplify_presentation
 
-    def recording(g):
-        seen.append(g)
-        return restart_simplify(g)
+    def recording(g, gens=None):
+        seen.append((g, gens))
+        return original(g, gens)
 
-    original, groups.simplify_presentation = groups.simplify_presentation, recording
+    groups.simplify_presentation = recording
     try:
         for profile in ("cd", "acd", "butler", "mixed"):
             for seed in range(10):
@@ -566,8 +567,12 @@ class TestPruning:
     def test_one_pass_matches_the_restart_loop_inside_purify(self):
         inputs = presentations_before_pruning()
         assert len(inputs) > 100
-        for g in inputs:
-            assert simplify_presentation(g).generators == restart_simplify(g).generators
+        for g, gens in inputs:
+            hull = GroupRep(g.ambient_dim, tuple(gens))
+            expected = restart_simplify(hull).generators
+            # pruned against g's maps and against the hull's own maps
+            assert simplify_presentation(g, gens).generators == expected
+            assert simplify_presentation(hull).generators == expected
 
     def test_builds_only_its_result(self, monkeypatch):
         g = group_rep(2, [((1, 0), (2,)), ((F(1, 2), 0), ()), ((2, 0), ()), ((0, 1), (3,)), ((0, 1), ())])
@@ -586,16 +591,18 @@ class TestPruning:
     def test_keeps_the_all_piece_that_w_all_needs(self):
         g = group_rep(2, [((0, 1), ()), ((0, 1), "ALL"), ((1, 0), ())])
         gens = list(g.generators)
-        assert not groups._sums_to(g, gens[:1] + gens[2:])
-        assert groups._sums_to(g, gens[1:])
+        can_drop = groups._drop_test(g, gens)
+        assert not can_drop(1, [0, 2])
+        assert can_drop(0, [1, 2])
         assert simplify_presentation(g).generators == tuple(gens[1:])
 
     def test_drops_the_lattice_copy_of_a_local_piece(self):
         # Z[1/2]*e1 given as (e1, {2}) and (e1/2, {}): the second is redundant
         g = group_rep(2, [((1, 0), (2,)), ((F(1, 2), 0), ()), ((0, 1), ())])
         gens = list(g.generators)
-        assert not groups._sums_to(g, gens[1:])
-        assert groups._sums_to(g, [gens[0], gens[2]])
+        can_drop = groups._drop_test(g, gens)
+        assert not can_drop(0, [1, 2])
+        assert can_drop(1, [0, 2])
         assert simplify_presentation(g).generators == (gens[0], gens[2])
 
     def test_dropping_the_only_tagged_piece_untags_its_prime(self):
@@ -604,3 +611,87 @@ class TestPruning:
         assert s.generators == (((1, 0), ALL), ((0, 1), NO_PRIMES))
         assert g.tagged_primes == (3,) and s.tagged_primes == ()
         assert compare(s, g) is Compare.EQUAL
+
+
+def member_loop_purify(g, subspace):
+    """The reference purification: the old loop, which tests every candidate
+    z = (sum c_i g_i)/p with ``member`` against a group rebuilt after each
+    adjunction, then prunes with the restart loop."""
+    u = subspace.intersect(g.span)
+    if u.dim == 0:
+        return zero_group(g.ambient_dim)
+    seed = lattice = g.lattice_hull.intersect_subspace(u)
+    pieces = []
+    for p in (*g.tagged_primes, None):
+        vp = u.intersect(g.divisible_directions(p))
+        if vp.dim:
+            s = ALL if p is None else prime_set([p])
+            pieces.extend((row, s) for row in g.lattice_hull.intersect_subspace(vp).rows)
+
+    def presentation():
+        return group_rep(g.ambient_dim, [(row, NO_PRIMES) for row in lattice.rows] + pieces)
+
+    def candidates(current, p):
+        idx = [i for i, (_v, s) in enumerate(current.generators) if p not in s]
+        local = g.local(p).map
+        rows = []
+        for i in idx:
+            y, d = integer_form(current.generators[i][0])
+            rows.append([numutil.mod_p(F(t, d * local.scale), p) for t in local.numerators(y)])
+        out = []
+        for coeffs in groups._fp_left_kernel(rows, p, len(idx)):
+            z = vec((0,) * g.ambient_dim)
+            for c, i in zip(coeffs, idx):
+                z = vadd(z, vscale(c, current.generators[i][0]))
+            if any(z):
+                out.append(vscale(F(1, p), z))
+        return out
+
+    primes = sorted(set(g.tagged_primes) | groups._all_pattern_gap_primes(g, u, seed))
+    current = presentation()
+    while True:
+        changed = False
+        for p in primes:
+            for z in candidates(current, p):
+                if not member(current, z):
+                    lattice = RationalLattice.from_generators((*lattice.rows, z), g.ambient_dim)
+                    current = presentation()
+                    changed = True
+        if not changed:
+            return restart_simplify(current)
+
+
+class TestSaturation:
+    @given(group_reps(ambient=3, max_gens=4), st.lists(vectors(3), min_size=1, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_member_loop(self, g, directions):
+        u = Subspace.span([vec(v) for v in directions], 3)
+        assert purify(g, u).generators == member_loop_purify(g, u).generators
+
+    def test_a_key_without_lattice_columns_adds_nothing(self):
+        # W_2 is all of [G], so the map at 2 has no lattice columns and every
+        # candidate g_i/2 already lies in the 2-divisible hull
+        g = group_rep(2, [((1, 0), (2,)), ((0, 1), (2,)), ((F(1, 3), F(1, 3)), ())])
+        assert g.local(2).map.columns == ()
+        diagonal = vec((F(1, 3), F(1, 3)))
+        assert groups._saturation(g, [diagonal], 2) == []
+        assert purify(g, line(2, (1, 1))).generators == ((diagonal, prime_set([2])),)
+
+    def test_builds_only_its_result(self, monkeypatch):
+        built = []
+        post_init = GroupRep.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        inputs = [
+            (group_rep(2, [((1, 0), "ALL"), ((0, 1), ())]), line(2, (1, 2))),
+            (G3(), line(2, (1, 1))),
+            (G2(), Subspace.full(2)),
+        ]
+        monkeypatch.setattr(GroupRep, "__post_init__", counting)
+        for g, u in inputs:
+            built.clear()
+            hull = purify(g, u)
+            assert built == [hull]

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strategies import group_reps, vectors
-from torsionfree import decomp, groups, indec, jonsson
+from torsionfree import decomp, groups, indec, jonsson, linalg
 from torsionfree.corpus import PROFILES, generate
 from torsionfree.decomp import (
     PartitionRecord,
@@ -128,6 +128,34 @@ class TestAgreement:
             pure_sum_kind(G2(), (line, line))
         with pytest.raises(SpanMismatch):
             pure_sum_kind(G2(), (line,))
+
+    def test_a_repeat_call_does_no_elimination(self, monkeypatch):
+        g = G3()
+        axes = (Subspace.span([(1, 0)], 2), Subspace.span([(0, 1)], 2))
+        calls = []
+        eliminate = linalg._eliminate
+
+        def counting(work, ncols):
+            calls.append(ncols)
+            return eliminate(work, ncols)
+
+        monkeypatch.setattr(linalg, "_eliminate", counting)
+        assert pure_sum_kind(g, axes) is SplitKind.QUASI
+        assert calls
+        # a list of equal spaces built afresh finds the same verdict
+        again = [Subspace.span([(2, 0)], 2), Subspace.span([(0, 3)], 2)]
+        calls.clear()
+        assert pure_sum_kind(g, again) is SplitKind.QUASI
+        assert calls == []
+
+    def test_errors_are_not_memoised(self):
+        g = G2()
+        line = Subspace.span([(1, 1)], 2)
+        for _attempt in range(2):
+            with pytest.raises(SpanMismatch):
+                pure_sum_kind(g, (line,))
+        assert pure_sum_kind(g, (Subspace.full(2),)) is SplitKind.EXACT
+        assert list(g._kind_cache) == [(Subspace.full(2),)]
 
 
 class TestProjections:

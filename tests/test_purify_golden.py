@@ -5,11 +5,11 @@
 
 from pathlib import Path
 
+from golden_lines import assert_matches_golden
 from purify_dump import dump_lines
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "purify-corpus.txt"
 
 
 def test_purify_answers_match_the_golden():
-    expected = GOLDEN.read_text(encoding="utf-8")
-    assert "\n".join(dump_lines()) + "\n" == expected
+    assert_matches_golden(dump_lines(), GOLDEN)
