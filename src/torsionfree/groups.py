@@ -577,7 +577,8 @@ def _hermite_pivots(rows) -> list[int]:
 
 
 def _drop_test(g: GroupRep, gens: list[Generator]):
-    """A test of whether gens[i] can go from gens[i] and ``rest``, which sum to H.
+    """A test of whether gens[i] can be dropped when it and the gens at ``rest``
+    sum to H.
 
     H, the sum of all the gens, must be pure in G, so that at each prime
     key its divisible directions are [H] ∩ W_p and G's map at the key is
@@ -599,8 +600,6 @@ def _drop_test(g: GroupRep, gens: list[Generator]):
             None if _inverted_at(s, key) else [n * (common // d) for n in local.numerators(y)]
             for (_v, s), (y, d) in zip(gens, forms)
         ]
-        content = gcd(*[e for r in rows if r for e in r]) or 1
-        rows = [None if r is None else [e // content for e in r] for r in rows]
         divisible = [y for r, (y, _d) in zip(rows, forms) if r is None]
         pivots = _hermite_pivots([r for r in rows if r is not None])
         per_key.append(
