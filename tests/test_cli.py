@@ -40,6 +40,10 @@ GOLDEN_COMMANDS = [
     ("g2-si-search.txt", ["si-search", "tests/data/g2.grp", "--height", "2"]),
     ("g3-si-search.txt", ["si-search", "tests/data/g3.grp", "--height", "2"]),
     ("verify-cd.txt", ["verify", "--profile", "cd", "--count", "3", "--seed", "7"]),
+    # a rank-3 group no bounded search decides: every search walks its whole scope
+    ("probe3-si-search.txt", ["si-search", "tests/data/probe3.grp", "--height", "1"]),
+    ("probe3-decompose.txt", ["decompose", "tests/data/probe3.grp", "--height", "1"]),
+    ("probe3-regulating.json", ["regulating", "tests/data/probe3.grp", "--height", "1", "--json"]),
 ]
 
 
