@@ -143,6 +143,11 @@ class GroupRep:
         )
 
     @cached_property
+    def _integer_generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """``integer_form`` of each generator vector, in generator order."""
+        return tuple(integer_form(v) for v, _s in self.generators)
+
+    @cached_property
     def tagged_primes(self) -> tuple[int, ...]:
         """The primes named in the finite prime sets of the generators."""
         tagged: set[int] = set()
@@ -508,8 +513,7 @@ def _pure_sum_kind(g: GroupRep, spaces: tuple[Subspace, ...]) -> SplitKind:
     if total != g.span:
         raise SpanMismatch("the subspaces do not span the group")
     exact = True
-    for v, s in g.generators:
-        y, e = integer_form(v)
+    for (y, e), (_v, s) in zip(g._integer_generators, g.generators):
         head = [y[p] for p in total.pivots]
         for image in images[:-1]:
             z = [0] * g.ambient_dim
@@ -533,7 +537,7 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
     for p in (*g.tagged_primes, None):
         vp = u.intersect(g.divisible_directions(p))
         if vp.dim:
-            inner = g.lattice_hull.intersect_subspace(vp)
+            inner = seed if vp == u else g.lattice_hull.intersect_subspace(vp)
             s = ALL if p is None else prime_set([p])
             pieces.extend((row, s) for row in inner.rows)
 
