@@ -9,6 +9,16 @@ any hull.  Searches are bounded and deterministic: set partitions are
 walked in restricted-growth-string order and candidate bases in
 lexicographic coefficient order.  An empty search result is never a proof
 of indecomposability.
+
+A search reads its spans from one ``SpanTable``, made for the call and
+dropped with it.  Over the candidate vectors it is the line table: each
+vector's line is computed once and numbered, and the span of a set of line
+numbers is built once, under the frozenset of numbers.  The basis walk
+keeps a combination only while each new line leaves the span of the lines
+before it, so a pair needs no elimination once its two lines differ; every
+block span of every basis and partition is a table lookup; and since equal
+span sets give the same pure hulls and different ones different hulls, the
+decomposition search drops a repeated span set before it builds any hull.
 """
 
 from __future__ import annotations
@@ -68,8 +78,8 @@ class PartitionRecord:
     @cached_property
     def spans(self) -> tuple[Subspace, ...]:
         """The span of each block's basis elements, in block order."""
-        rows = [[b] for b in self.basis.elements]
-        return block_spans(self.basis.group.ambient_dim, rows, self.blocks)
+        dim = self.basis.group.ambient_dim
+        return tuple(Subspace.span([self.basis.elements[i] for i in block], dim) for block in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -184,22 +194,87 @@ def set_partitions(t: int, max_blocks: int | None = None):
             a[j] = 0
 
 
-def block_spans(dim: int, item_rows, blocks) -> tuple[Subspace, ...]:
-    """The span of each block's pieces, in block order; piece i spans item_rows[i]."""
-    return tuple(Subspace.span([row for i in block for row in item_rows[i]], dim) for block in blocks)
+class SpanTable:
+    """Numbered pieces (lines, or subspaces) and the span of any set of them.
+
+    A piece gets the next number the first time it is seen.  The span of a
+    set of numbers is built on first use and kept under its frozenset, so
+    every basis and partition that meets the same set reads one
+    ``Subspace``.  A table serves one search call and is dropped with it.
+    """
+
+    def __init__(self, ambient_dim: int):
+        self.ambient_dim = ambient_dim
+        self.pieces: list[Subspace] = []
+        self._numbers: dict[Subspace, int] = {}
+        self._spans: dict[frozenset[int], Subspace] = {}
+
+    def piece(self, space: Subspace) -> int:
+        """The number of a subspace."""
+        i = self._numbers.get(space)
+        if i is None:
+            i = self._numbers[space] = len(self.pieces)
+            self.pieces.append(space)
+            self._spans[frozenset((i,))] = space
+        return i
+
+    def lines(self, vectors) -> tuple[int, ...]:
+        """The number of each nonzero vector's line."""
+        return tuple(self.piece(Subspace.span([v], self.ambient_dim)) for v in vectors)
+
+    def span(self, ids: frozenset[int]) -> Subspace:
+        space = self._spans.get(ids)
+        if space is None:
+            rows = [row for i in ids for row in self.pieces[i].basis]
+            space = self._spans[ids] = Subspace.span(rows, self.ambient_dim)
+        return space
+
+    def block_spans(self, ids, blocks) -> tuple[Subspace, ...]:
+        """The span of each block of positions, in block order; position i holds piece ids[i]."""
+        return tuple(self.span(frozenset([ids[i] for i in block])) for block in blocks)
+
+    def independent_lines(self, ids, r: int):
+        """Positions i_1 < ... < i_r whose lines ids[i] are independent, in
+        ``itertools.combinations`` order.
+
+        A prefix whose lines are dependent has no independent extension, so
+        the walk drops it whole.  A line extends an independent prefix when
+        it lies outside the prefix's span; for a one-line prefix that is
+        just a different line number.
+        """
+        chosen: list[int] = []
+
+        def extend(start: int):
+            if len(chosen) == r:
+                yield tuple(chosen)
+                return
+            prefix = frozenset([ids[i] for i in chosen])
+            space = self.span(prefix) if len(prefix) > 1 else None
+            for i in range(start, len(ids) - r + len(chosen) + 1):
+                line = ids[i]
+                if line in prefix:
+                    continue
+                if space is not None and space.contains_vector(self.pieces[line].basis[0]):
+                    continue
+                chosen.append(i)
+                yield from extend(i + 1)
+                chosen.pop()
+
+        return extend(0)
 
 
-def exact_groupings(g: GroupRep, item_rows, max_blocks: int):
+def exact_groupings(g: GroupRep, table: SpanTable, ids, max_blocks: int):
     """Groupings of independent pieces into 2..max_blocks blocks whose pure
     hulls sum to g exactly, as (blocks, block spans) in ``set_partitions`` order.
 
-    Piece i spans item_rows[i], and the pieces together span [g].  The
-    verdicts come from the block projections alone; no hull is built.
+    Position i holds the table's piece ids[i], and the pieces together span
+    [g].  The verdicts come from the block projections alone; no hull is
+    built.
     """
-    for blocks in set_partitions(len(item_rows), max_blocks):
+    for blocks in set_partitions(len(ids), max_blocks):
         if len(blocks) < 2:
             continue
-        spans = block_spans(g.ambient_dim, item_rows, blocks)
+        spans = table.block_spans(ids, blocks)
         if pure_sum_kind(g, spans) is SplitKind.EXACT:
             yield blocks, spans
 
@@ -218,22 +293,21 @@ def _refines(fine, coarse) -> bool:
     return all(any(set(b).issubset(set(c)) for c in coarse) for b in fine)
 
 
-def _basis_groupings(g: GroupRep, basis: BasisRecord, max_blocks: int):
-    """The exact groupings of a basis's elements, after the rank limit and the basis check."""
-    t = len(basis.elements)
-    if t > _RANK_LIMIT:
-        raise GroupError("rank %d exceeds the partition-enumeration limit" % t)
-    require_basis(g, basis)
-    return exact_groupings(g, [[b] for b in basis.elements], max_blocks)
+def _check_rank(rank: int) -> None:
+    if rank > _RANK_LIMIT:
+        raise GroupError("rank %d exceeds the partition-enumeration limit" % rank)
 
 
 def enumerate_splitting_partitions(
     g: GroupRep, basis: BasisRecord, max_blocks: int
 ):
     """All proper partitions of the basis into <= max_blocks blocks that split."""
+    _check_rank(len(basis.elements))
+    require_basis(g, basis)
+    table = SpanTable(g.ambient_dim)
     return [
         (PartitionRecord(basis, blocks), _split_record(g, spans))
-        for blocks, spans in _basis_groupings(g, basis, max_blocks)
+        for blocks, spans in exact_groupings(g, table, table.lines(basis.elements), max_blocks)
     ]
 
 
@@ -263,12 +337,14 @@ def candidate_vectors(g: GroupRep, height_bound: int) -> tuple[Vec, ...]:
     return tuple(tuple(Fraction(e, d) for e in y) for y in seen)
 
 
-def _generated_bases(g: GroupRep, height_bound: int):
+def _generated_bases(g: GroupRep, height_bound: int, table: SpanTable):
+    """Each basis of g among the candidate vectors, with its line numbers in
+    the table, as (ids, basis) in ``itertools.combinations`` order."""
     pool = candidate_vectors(g, height_bound)
-    for combo in itertools.combinations(pool, g.rank):
-        if Subspace.span(list(combo), g.ambient_dim).dim == g.rank:
-            # combinations of generators lie in the group by construction
-            yield BasisRecord(g, combo)
+    ids = table.lines(pool)
+    for positions in table.independent_lines(ids, g.rank):
+        # combinations of generators lie in the group by construction
+        yield tuple(ids[i] for i in positions), BasisRecord(g, tuple(pool[i] for i in positions))
 
 
 def complete_decomposition_search(
@@ -281,17 +357,22 @@ def complete_decomposition_search(
     empty result means nothing was found within that scope, not that g is
     indecomposable.
     """
+    _check_rank(g.rank)
     if max_blocks is None:
         max_blocks = max(g.rank, 2)
+    given_bases = tuple(given_bases)
+    for basis in given_bases:
+        require_basis(g, basis)
+    table = SpanTable(g.ambient_dim)
+    given = ((table.lines(b.elements), b) for b in given_bases)
     results: list[DecompositionRecord] = []
     seen = set()
-    for basis in itertools.chain(given_bases, _generated_bases(g, height_bound)):
-        for _blocks, spans in finest_groupings(_basis_groupings(g, basis, max_blocks)):
-            record = _split_record(g, spans)
-            key = tuple(sorted(s.key() for s in record.summands))
+    for ids, _basis in itertools.chain(given, _generated_bases(g, height_bound, table)):
+        for _blocks, spans in finest_groupings(exact_groupings(g, table, ids, max_blocks)):
+            key = frozenset(spans)
             if key not in seen:
                 seen.add(key)
-                results.append(_certify_summands(record))
+                results.append(_certify_summands(_split_record(g, spans)))
     return tuple(results)
 
 

@@ -29,6 +29,7 @@ from .bases import BasisRecord, pure_hull_sum, require_basis
 from .decomp import (
     DecompositionRecord,
     PartitionRecord,
+    SpanTable,
     _RANK_LIMIT,
     _generated_bases,
     candidate_vectors,
@@ -121,15 +122,17 @@ def strong_decomposability_witness_search(g: GroupRep, height_bound: int) -> Wit
     searched = 0
     seen_spans = set()
     two_block = _two_block_blockings(g.rank)
-    for basis in _generated_bases(g, height_bound):
+    table = SpanTable(g.ambient_dim)
+    for ids, basis in _generated_bases(g, height_bound, table):
         searched += 1
         for blocks in two_block:
-            partition = PartitionRecord(basis, blocks)
-            key = frozenset(partition.spans)
+            spans = table.block_spans(ids, blocks)
+            key = frozenset(spans)
             if key in seen_spans:
                 continue
             seen_spans.add(key)
-            if pure_sum_kind(g, partition.spans) is not SplitKind.NONE:
+            if pure_sum_kind(g, spans) is not SplitKind.NONE:
+                partition = PartitionRecord(basis, blocks)
                 report = quasi_split_check(g, basis, partition)
                 return WitnessSearchResult(
                     True, report.kind, basis, partition, report, height_bound, searched

@@ -19,9 +19,9 @@ import itertools
 from dataclasses import dataclass
 
 from .decomp import (
+    SpanTable,
     apply_span_matrix,
     automorphism_check,
-    block_spans,
     candidate_vectors,
     exact_groupings,
     finest_groupings,
@@ -121,15 +121,16 @@ def jonsson_basis_from_summands(g: GroupRep, candidates) -> JonssonBasis:
     return JonssonBasis(g, flagged, description.quotient)
 
 
-def _summand_rows(a: JonssonBasis):
-    """The spanning rows of each summand: the pieces that groupings regroup."""
-    return [s.span.rows for s in a.summand_groups]
+def _summand_pieces(a: JonssonBasis) -> tuple[SpanTable, tuple[int, ...]]:
+    """A table of the summand spans, the pieces that groupings regroup, and their numbers."""
+    table = SpanTable(a.group.ambient_dim)
+    return table, tuple(table.piece(s.span) for s in a.summand_groups)
 
 
 def splitting_decompositions_of(a: JonssonBasis, max_blocks: int):
     """Proper summand groupings whose purified block sums rebuild G exactly,
     fewest blocks first."""
-    found = sorted(exact_groupings(a.group, _summand_rows(a), max_blocks), key=lambda f: len(f[0]))
+    found = sorted(exact_groupings(a.group, *_summand_pieces(a), max_blocks), key=lambda f: len(f[0]))
     return [(blocks, tuple(purify(a.group, span) for span in spans)) for blocks, spans in found]
 
 
@@ -187,12 +188,12 @@ def lift_quotient_decomposition(g: GroupRep, a: JonssonBasis, u_generators, w_ge
         raise ValueError("the given images are not a direct decomposition of the quotient")
 
     searched = 0
-    rows = _summand_rows(a)
-    for blocks in set_partitions(len(rows), 2):
+    table, ids = _summand_pieces(a)
+    for blocks in set_partitions(len(ids), 2):
         if len(blocks) < 2:
             continue
         searched += 1
-        spans = block_spans(a.group.ambient_dim, rows, blocks)
+        spans = table.block_spans(ids, blocks)
         if pure_sum_kind(a.group, spans) is not SplitKind.EXACT:
             continue
         b_hull, c_hull = (purify(a.group, span) for span in spans)
@@ -216,13 +217,11 @@ def regulating_search(g: GroupRep, height_bound: int = 2):
         raise GroupError("the zero group has no rank-1 summand family")
     # each line lies in [G]; its pure hull is built only once a combination
     # of finite index needs it
-    vectors = candidate_vectors(g, height_bound)
-    lines = list(dict.fromkeys(Subspace.span([v], g.ambient_dim) for v in vectors))
+    table = SpanTable(g.ambient_dim)
+    table.lines(candidate_vectors(g, height_bound))
     best: JonssonBasis | None = None
-    for combo in itertools.combinations(lines, g.rank):
-        rows = [row for line in combo for row in line.basis]
-        if Subspace.span(rows, g.ambient_dim).dim != g.rank:
-            continue
+    for positions in table.independent_lines(range(len(table.pieces)), g.rank):
+        combo = tuple(table.pieces[i] for i in positions)
         if pure_sum_kind(g, combo) is SplitKind.NONE:
             continue
         hulls, total = pure_sum(g, combo)
@@ -319,11 +318,11 @@ def unrefinable_quotient_decompositions(g: GroupRep, a: JonssonBasis):
     if a.quotient.order == 1:
         raise ValueError("the quotient is trivial")
     t = len(a.summands)
-    rows = _summand_rows(a)
-    finest = finest_groupings(exact_groupings(a.group, rows, t))
+    table, ids = _summand_pieces(a)
+    finest = finest_groupings(exact_groupings(a.group, table, ids, t))
     if not finest:
         one = (tuple(range(t)),)
-        finest = [(one, block_spans(a.group.ambient_dim, rows, one))]
+        finest = [(one, table.block_spans(ids, one))]
     out = []
     for blocks, spans in sorted(finest, key=lambda f: f[0]):
         hulls = tuple(purify(a.group, span) for span in spans)

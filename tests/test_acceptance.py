@@ -24,6 +24,7 @@ from torsionfree.bases import (
 from torsionfree.corpus import PROFILES, generate
 from torsionfree.decomp import (
     IsoVerdict,
+    SpanTable,
     _generated_bases,
     apply_span_matrix,
     automorphism_check,
@@ -384,7 +385,7 @@ def test_criterion_7_strong_indecomposability():
         if inverted != {(2,), (3,), (5,)}:
             problems.append(f"certificate types are {inverted}")
     checked = 0
-    for basis in itertools.islice(_generated_bases(g2, 2), 50):
+    for _ids, basis in itertools.islice(_generated_bases(g2, 2, SpanTable(2)), 50):
         if property_si_check(g2, basis).verdict is not SIVerdict.HOLDS:
             problems.append(f"SI fails for basis {basis.elements}")
         checked += 1

@@ -121,6 +121,21 @@ class TestExitCodes:
         assert main(["member", str(DATA / "g3.grp"), "(1,0)"]) == 1
         assert capsys.readouterr().err == "error: internal error: hull lost rank\n"
 
+    @pytest.mark.parametrize("command", ["decompose", "si-search"])
+    def test_search_past_the_rank_limit_fails_fast(self, tmp_path, command):
+        # the 11 unit vectors and their sum: rank 11, one past the partition
+        # limit; the limit must stop the search before it lists 3^12 candidates
+        n = 11
+        rows = [[int(i == j) for j in range(n)] for i in range(n)] + [[1] * n]
+        path = tmp_path / "rank11.grp"
+        path.write_text(
+            f"group R11 ambient {n}\n" + "".join(f"gen [{', '.join(map(str, r))}] inv {{}}\n" for r in rows)
+        )
+        done = run_cli([command, str(path), "--height", "1"], timeout=20)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "exceeds the partition" in done.stderr
+
     def test_si_search_without_evidence_is_two(self, capsys):
         # free groups of rank one: no proper partition, no rank-2 certificate
         path = DATA / "g1.grp"

@@ -9,7 +9,12 @@ from strategies import group_reps, nonzero_group_reps
 from torsionfree.bases import basis_record
 from torsionfree.decomp import (
     IsoVerdict,
+    PartitionRecord,
+    SpanTable,
     SummandFlag,
+    _certify_summands,
+    _generated_bases,
+    _split_record,
     apply_span_matrix,
     automorphism_check,
     automorphism_from_summand_isos,
@@ -19,15 +24,19 @@ from torsionfree.decomp import (
     decomposition_record,
     decompositions_isomorphic,
     enumerate_splitting_partitions,
+    finest_groupings,
     partition_record,
     set_partitions,
 )
+from torsionfree.corpus import PROFILES, generate
 from torsionfree.groups import (
     Compare,
     GroupError,
+    SplitKind,
     compare,
     group_rep,
     member,
+    pure_sum_kind,
     purify,
     sum_groups,
 )
@@ -227,6 +236,85 @@ class TestCompleteDecompositionSearch:
         found = complete_decomposition_search(g, height_bound=1)
         spans = {s.span for record in found for s in record.summands}
         assert purified and set(purified) <= spans
+
+
+def small_corpus_groups():
+    # every rank <= 3 group of seeds 0-5 with at most three generators
+    groups = [("g1", G1()), ("g2", G2()), ("g3", G3()), ("z2", Z2()), ("z3", Z(3))]
+    for profile in PROFILES:
+        for seed in range(6):
+            g = generate(profile, seed, max_rank=3).group
+            if 1 <= g.rank and len(g.generators) <= 3:
+                groups.append((f"{profile}:{seed}", g))
+    return groups
+
+
+class TestSpanTable:
+    @pytest.mark.parametrize("height", [1, 2])
+    def test_walk_and_block_spans_match_the_definitions(self, height):
+        checked = 0
+        for name, g in small_corpus_groups():
+            pool = candidate_vectors(g, height)
+            table = SpanTable(g.ambient_dim)
+            found = list(_generated_bases(g, height, table))
+            # rank 3 at height 2 has 62 candidates and 34,328 bases: there the
+            # walk is left to the smaller pools, and a spread sample of the
+            # bases is checked
+            large = len(pool) > 40
+            if not large:
+                # the walk keeps exactly the independent combinations, in order
+                independent = [
+                    combo
+                    for combo in itertools.combinations(pool, g.rank)
+                    if Subspace.span(list(combo), g.ambient_dim).dim == g.rank
+                ]
+                assert [basis.elements for _ids, basis in found] == independent, name
+            stride = 41 if large else 1
+            for ids, basis in found[::stride]:
+                assert ids == table.lines(basis.elements)
+                for blocks in set_partitions(g.rank):
+                    assert table.block_spans(ids, blocks) == PartitionRecord(basis, blocks).spans, name
+                    checked += 1
+        assert checked > 1000
+
+    def test_numbers_lines_in_order_of_first_sight(self):
+        table = SpanTable(2)
+        assert table.lines([(1, 0), (0, 1), (2, 0), (1, 1)]) == (0, 1, 0, 2)
+        assert table.pieces == [Subspace.span([v], 2) for v in [(1, 0), (0, 1), (1, 1)]]
+        assert table.span(frozenset((0, 2))) == Subspace.full(2)
+        assert list(table.independent_lines((0, 1, 0, 2), 2)) == [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def summand_key_search(g, height_bound):
+    """Reference: complete_decomposition_search deduplicating on the sorted keys
+    of the purified summands, with the block spans read off PartitionRecord."""
+    results, seen = [], set()
+    for _ids, basis in _generated_bases(g, height_bound, SpanTable(g.ambient_dim)):
+        exact = []
+        for blocks in set_partitions(g.rank, max(g.rank, 2)):
+            spans = PartitionRecord(basis, blocks).spans
+            if len(blocks) >= 2 and pure_sum_kind(g, spans) is SplitKind.EXACT:
+                exact.append((blocks, spans))
+        for _blocks, spans in finest_groupings(exact):
+            record = _split_record(g, spans)
+            key = tuple(sorted(s.key() for s in record.summands))
+            if key not in seen:
+                seen.add(key)
+                results.append(_certify_summands(record))
+    return tuple(results)
+
+
+@pytest.mark.parametrize("profile, seed", [("cd", 7), ("cd", 11), ("acd", 5), ("butler", 5), ("mixed", 4)])
+def test_span_set_dedupe_keeps_the_summand_key_results(profile, seed):
+    g = generate(profile, seed, max_rank=3).group
+    found = complete_decomposition_search(g, height_bound=1)
+    assert found == summand_key_search(g, 1)
+
+
+def test_span_set_dedupe_on_split_groups():
+    for g in (G1(), Z2(), Z(3)):
+        found = complete_decomposition_search(g, height_bound=1)
+        assert found and found == summand_key_search(g, 1)
 
 
 class TestCandidateVectors:

@@ -8,7 +8,7 @@ from strategies import group_reps
 from torsionfree import indec
 from torsionfree.bases import basis_record
 from torsionfree.corpus import PROFILES, generate
-from torsionfree.decomp import _generated_bases, candidate_vectors, set_partitions
+from torsionfree.decomp import SpanTable, _generated_bases, candidate_vectors, set_partitions
 from torsionfree.groups import GroupError, element_type, group_rep, pure_sum_kind
 from torsionfree.indec import (
     SICertificate,
@@ -98,7 +98,7 @@ class TestPropertySI:
 
     def test_holds_for_every_low_basis_of_g2(self):
         g = G2()
-        for basis in _generated_bases(g, 1):
+        for _ids, basis in _generated_bases(g, 1, SpanTable(g.ambient_dim)):
             assert property_si_check(g, basis).verdict is SIVerdict.HOLDS
 
     def test_fails_for_g3_with_finite_defect(self):

@@ -19,6 +19,7 @@ from torsionfree import decomp, groups, indec, jonsson, linalg
 from torsionfree.corpus import PROFILES, generate
 from torsionfree.decomp import (
     PartitionRecord,
+    SpanTable,
     _generated_bases,
     candidate_vectors,
     check_splitting_partition,
@@ -60,7 +61,7 @@ def reference_kind(g, spaces) -> SplitKind:
 
 def partition_spans(g, max_blocks=3):
     """The block spans of every 2- and 3-block partition of the height-1 bases."""
-    for basis in _generated_bases(g, 1):
+    for _ids, basis in _generated_bases(g, 1, SpanTable(g.ambient_dim)):
         for blocks in set_partitions(g.rank, max_blocks):
             if len(blocks) >= 2:
                 yield PartitionRecord(basis, blocks).spans
@@ -108,7 +109,7 @@ class TestAgreement:
     @given(group_reps(ambient=3, max_gens=4), st.data())
     def test_random_rank_three_partitions(self, g, data):
         assume(g.rank == 3)
-        basis = next(_generated_bases(g, 1))
+        _ids, basis = next(_generated_bases(g, 1, SpanTable(3)))
         blocks = data.draw(st.sampled_from([b for b in set_partitions(3) if len(b) >= 2]))
         spaces = PartitionRecord(basis, blocks).spans
         assert pure_sum_kind(g, spaces) is reference_kind(g, spaces)
@@ -190,7 +191,7 @@ class TestSearchesUseTheVerdict:
         monkeypatch.setattr(decomp, "subgroup_leq", refuse)
         g = generate("cd", 1, max_rank=3).group
         assert complete_decomposition_search(g, height_bound=1)
-        basis = next(_generated_bases(G3(), 1))
+        _ids, basis = next(_generated_bases(G3(), 1, SpanTable(2)))
         assert check_splitting_partition(G3(), PartitionRecord(basis, ((0,), (1,)))) == (False, None)
 
     @pytest.mark.parametrize("g", [G2(), G3(), generate("acd", 1, max_rank=2).group])
