@@ -223,6 +223,7 @@ class SpanTable:
         return tuple(self.piece(Subspace.span([v], self.ambient_dim)) for v in vectors)
 
     def span(self, ids: frozenset[int]) -> Subspace:
+        """The span of the numbered pieces."""
         space = self._spans.get(ids)
         if space is None:
             rows = [row for i in ids for row in self.pieces[i].basis]
