@@ -19,6 +19,9 @@ before it, so a pair needs no elimination once its two lines differ; every
 block span of every basis and partition is a table lookup; and since equal
 span sets give the same pure hulls and different ones different hulls, the
 decomposition search drops a repeated span set before it builds any hull.
+Most verdicts are "infinite index", and ``pure_sum_kind`` reaches those by
+counting the dimensions of the block spans' meets with each W_q, cached on
+the group, without building a projection.
 """
 
 from __future__ import annotations

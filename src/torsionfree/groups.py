@@ -30,7 +30,8 @@ image of an element is its coordinates in that map.  Quasi-equality
 (``quasi``) and minimal multipliers (``order_mod``) read the maps too.
 
 So does purification.  The pure subgroup H = U ∩ G of a subspace U starts
-from the lattice hull inside U plus the pieces U ∩ W_p, and is saturated at
+from the lattice hull inside U plus the pieces U ∩ W_p (``GroupRep.meet``,
+which the split verdict ``pure_sum_kind`` also counts), and is saturated at
 the tagged primes and at the untagged primes where that seed can fall
 short.  G's map at p is one-to-one on U modulo U ∩ W_p, so it sees the
 p-local part of every group between the seed and H exactly.  At p, the
@@ -58,7 +59,7 @@ from .linalg import (
     apply_matrix,
     direct_sum_projections,
     hermite_basis,
-    hermite_normal_form,
+    hermite_eliminate,
     integer_form,
     integer_kernel,
     is_zero_vec,
@@ -122,6 +123,7 @@ class GroupRep:
     def __post_init__(self):
         object.__setattr__(self, "_w_cache", {})
         object.__setattr__(self, "_local_cache", {})
+        object.__setattr__(self, "_meet_cache", {})
         object.__setattr__(self, "_purify_cache", {})
         object.__setattr__(self, "_kind_cache", {})
 
@@ -186,6 +188,26 @@ class GroupRep:
                 [v for v, s in self.generators if _inverted_at(s, key)],
                 self.ambient_dim,
             )
+        return cached
+
+    def meet(self, space: Subspace, p: int | None = None) -> Subspace:
+        """U ∩ W_p for a subspace U, cached per (U, prime key).
+
+        A line lies in W_p or meets it in zero, so it takes one membership
+        test; a larger space takes one intersection.
+        """
+        cached = self._meet_cache.get((space, p))
+        if cached is None:
+            key = self.prime_key(p)
+            if key != p:
+                return self.meet(space, key)
+            w = self.divisible_directions(key)
+            if space.dim == 1:
+                inside = w.contains_vector(space.basis[0])
+                cached = space if inside else Subspace(space.ambient_dim, (), ())
+            else:
+                cached = space.intersect(w)
+            self._meet_cache[(space, key)] = cached
         return cached
 
     def local(self, p: int | None = None) -> LocalData:
@@ -492,14 +514,23 @@ def pure_sum_kind(g: GroupRep, spaces) -> SplitKind:
 
     With pi_i the projection onto U_i along the others, the hulls U_i ∩ G
     sum to G exactly when every pi_i maps G into G, and to a subgroup of
-    finite index exactly when some multiple of every pi_i does.  On a
-    generator (v, S) the first holds iff Z[S^-1]*pi_i(v) lies in G, the
-    second iff pi_i(v) lies in W_p for each p in S (in W_ALL for S = ALL),
-    because a multiple of pi_i(v) always lies in G.  The last projection is
-    the identity minus the others, so it needs no test.  The projections
-    come from one elimination of the spaces' integer rows, and the tests
-    read g's own coordinate maps: no hull and no sum group is built.
-    Verdicts are memoised on g by the tuple of spaces; errors are not.
+    finite index exactly when some multiple of every pi_i does.  A multiple
+    of pi_i(v) always lies in G, so the index is finite iff pi_i(W_q) ⊆ W_q
+    for every i and every q in the tagged primes and ALL: W_q is spanned by
+    the generators (v, S) with q in S, and Z[S^-1]*pi_i(v) needs pi_i(v) in
+    W_q.  That holds iff the sum of dim(U_i ∩ W_q) over i is dim W_q, and
+    this count decides NONE:
+      - if every pi_i keeps W_q, each w in W_q is the sum of its parts
+        pi_i(w) in U_i ∩ W_q, so W_q is the direct sum of the U_i ∩ W_q;
+      - if W_q is that direct sum, pi_i maps it onto U_i ∩ W_q.
+    The meets come from ``GroupRep.meet``, and a NONE verdict builds no
+    projection.  Otherwise the projections come from one elimination of the
+    spaces' integer rows, and the hulls sum to G iff every pi_i(v) of a
+    generator lies in G, read off g's own coordinate maps; the last
+    projection is the identity minus the others, so it needs no test.  No
+    hull and no sum group is built.  Raises ValueError when the spaces are
+    not independent and SpanMismatch when they do not span [G].  Verdicts
+    are memoised on g by the tuple of spaces; errors are not.
     """
     spaces = tuple(spaces)
     kind = g._kind_cache.get(spaces)
@@ -509,21 +540,32 @@ def pure_sum_kind(g: GroupRep, spaces) -> SplitKind:
 
 
 def _pure_sum_kind(g: GroupRep, spaces: tuple[Subspace, ...]) -> SplitKind:
-    total, images, d = direct_sum_projections(spaces, g.ambient_dim)
+    short = any(
+        sum(g.meet(u, key).dim for u in spaces) < g.divisible_directions(key).dim
+        for key in (*g.tagged_primes, None)
+    )
+    if short:
+        # the count assumes the spaces independent: check that, and only here,
+        # since direct_sum_projections checks it on the other path
+        total = Subspace.span([row for u in spaces for row in u.basis], g.ambient_dim)
+        if total.dim != sum(u.dim for u in spaces):
+            raise ValueError("the subspaces are not independent")
+    else:
+        total, images, d = direct_sum_projections(spaces, g.ambient_dim)
     if total != g.span:
         raise SpanMismatch("the subspaces do not span the group")
-    exact = True
-    for (y, e), (_v, s) in zip(g._integer_generators, g.generators):
+    if short:
+        return SplitKind.NONE
+    for y, e in g._integer_generators:
         head = [y[p] for p in total.pivots]
         for image in images[:-1]:
             z = [0] * g.ambient_dim
             for c, row in zip(head, image):
                 if c:
                     z = [a + c * b for a, b in zip(z, row)]
-            if not _divisible_along(g, z, s):
-                return SplitKind.NONE
-            exact = exact and _member_scaled(g, z, e * d)
-    return SplitKind.EXACT if exact else SplitKind.QUASI
+            if not _member_scaled(g, z, e * d):
+                return SplitKind.QUASI
+    return SplitKind.EXACT
 
 
 def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
@@ -535,7 +577,7 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
     seed = lattice = g.lattice_hull.intersect_subspace(u)
     pieces: list[Generator] = []
     for p in (*g.tagged_primes, None):
-        vp = u.intersect(g.divisible_directions(p))
+        vp = g.meet(u, p)
         if vp.dim:
             inner = seed if vp == u else g.lattice_hull.intersect_subspace(vp)
             s = ALL if p is None else prime_set([p])
@@ -576,8 +618,9 @@ def simplify_presentation(g: GroupRep, gens=None) -> GroupRep:
 
 def _hermite_pivots(rows) -> list[int]:
     """The pivot entries of the Hermite form of integer rows."""
-    h, _u = hermite_normal_form(rows)
-    return [next(e for e in r if e) for r in h if any(r)]
+    work = [list(r) for r in rows]
+    rank = hermite_eliminate(work, len(work[0]) if work else 0)
+    return [next(e for e in r if e) for r in work[:rank]]
 
 
 def _drop_test(g: GroupRep, gens: list[Generator]):

@@ -222,52 +222,56 @@ def solve_in_rows(rows: Mat, target: Vec) -> Vec | None:
 IMat = tuple[tuple[int, ...], ...]
 
 
-def hermite_normal_form(rows) -> tuple[IMat, IMat]:
-    """Row-style Hermite normal form of an integer matrix.
+def hermite_eliminate(work: list, ncols: int) -> int:
+    """Row-style Hermite elimination in place on integer rows; returns the rank.
 
-    Returns (H, U) with U unimodular over Z and U * rows == H.  H is in row
-    echelon form: pivots positive, entries above each pivot reduced into
-    [0, pivot), zero rows at the bottom.  The number of rows is preserved.
+    The first ncols columns end in Hermite normal form: pivots positive,
+    entries above each pivot reduced into [0, pivot), zero rows at the
+    bottom.  Every step is a row swap, a negation or the subtraction of an
+    integer multiple of one row from another, decided by the first ncols
+    columns alone, so columns past ncols ride along: eliminating [rows | I]
+    records the unimodular transform.
     """
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    m = len(work)
     rank = 0
-    for col in range(n):
+    for col in range(ncols):
         # gcd-eliminate column entries below the current rank row
-        piv = None
-        for r in range(rank, m):
-            if a[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(rank, m) if work[r][col]), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        u[rank], u[piv] = u[piv], u[rank]
+        work[rank], work[piv] = work[piv], work[rank]
         for r in range(rank + 1, m):
-            while a[r][col] != 0:
-                if abs(a[r][col]) < abs(a[rank][col]):
-                    a[rank], a[r] = a[r], a[rank]
-                    u[rank], u[r] = u[r], u[rank]
-                q = a[r][col] // a[rank][col]
+            while work[r][col] != 0:
+                if abs(work[r][col]) < abs(work[rank][col]):
+                    work[rank], work[r] = work[r], work[rank]
+                q = work[r][col] // work[rank][col]
                 if q:
-                    a[r] = [x - q * y for x, y in zip(a[r], a[rank])]
-                    u[r] = [x - q * y for x, y in zip(u[r], u[rank])]
+                    work[r] = [x - q * y for x, y in zip(work[r], work[rank])]
                 else:
                     break
-        if a[rank][col] < 0:
-            a[rank] = [-x for x in a[rank]]
-            u[rank] = [-x for x in u[rank]]
+        if work[rank][col] < 0:
+            work[rank] = [-x for x in work[rank]]
         for r in range(rank):
-            q = a[r][col] // a[rank][col]
+            q = work[r][col] // work[rank][col]
             if q:
-                a[r] = [x - q * y for x, y in zip(a[r], a[rank])]
-                u[r] = [x - q * y for x, y in zip(u[r], u[rank])]
+                work[r] = [x - q * y for x, y in zip(work[r], work[rank])]
         rank += 1
         if rank == m:
             break
-    return tuple(map(tuple, a)), tuple(map(tuple, u))
+    return rank
+
+
+def hermite_normal_form(rows) -> tuple[IMat, IMat]:
+    """Row-style Hermite normal form of an integer matrix.
+
+    Returns (H, U) with U unimodular over Z and U * rows == H, from one
+    ``hermite_eliminate`` of [rows | I].  The number of rows is preserved.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    work = [[*map(int, r), *(int(i == j) for j in range(m))] for i, r in enumerate(rows)]
+    hermite_eliminate(work, n)
+    return tuple(tuple(r[:n]) for r in work), tuple(tuple(r[n:]) for r in work)
 
 
 def smith_normal_form(rows) -> tuple[tuple[int, ...], IMat, IMat]:
@@ -551,8 +555,15 @@ class RationalLattice:
         for g in gens:
             if len(g) != ambient_dim:
                 raise ValueError("vector length mismatch")
-        rows, _t = hermite_basis([g for g in gens if not is_zero_vec(g)])
-        return RationalLattice(ambient_dim, rows)
+        gens = [g for g in gens if not is_zero_vec(g)]
+        if not gens:
+            return RationalLattice(ambient_dim, ())
+        # the Hermite basis of s * L over the lcm s of the denominators
+        flat, s = integer_form([e for g in gens for e in g])
+        n = ambient_dim
+        work = [list(flat[i * n : (i + 1) * n]) for i in range(len(gens))]
+        rank = hermite_eliminate(work, n)
+        return RationalLattice(n, tuple(tuple(Fraction(e, s) for e in r) for r in work[:rank]))
 
     @property
     def rank(self) -> int:
@@ -594,10 +605,9 @@ class RationalLattice:
         flat, s = integer_form([e for r in self.rows for e in r])
         n = self.ambient_dim
         ints = [flat[i * n : (i + 1) * n] for i in range(self.rank)]
-        h, _u = hermite_normal_form(
-            [[sum(map(mul, k, col)) for col in zip(*ints)] for k in kernel]
-        )
-        return RationalLattice(n, tuple(tuple(Fraction(e, s) for e in r) for r in h if any(r)))
+        work = [[sum(map(mul, k, col)) for col in zip(*ints)] for k in kernel]
+        rank = hermite_eliminate(work, n)
+        return RationalLattice(n, tuple(tuple(Fraction(e, s) for e in r) for r in work[:rank]))
 
 
 # ---------------------------------------------------------------------------

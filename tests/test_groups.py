@@ -162,6 +162,37 @@ class TestPerPrimeView:
         assert g.local().lattice.rows == ((1, 0),)
         assert g.local(2).map == g.local().map
 
+    @given(
+        group_reps(ambient=3, max_gens=3),
+        st.one_of(st.none(), vectors(3)),
+        st.lists(vectors(3), min_size=1, max_size=2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_meet_is_the_intersection(self, g, divisible, rows):
+        # an added ALL generator makes W_ALL nonzero; a group of rank < 3
+        # leaves room for spaces outside [G]
+        if divisible is not None:
+            g = group_rep(3, [*g.generators, (divisible, ALL)])
+        u = Subspace.span([vec(r) for r in rows], 3)
+        for key in (*g.tagged_primes, None):
+            meet = g.meet(u, key)
+            assert meet == u.intersect(g.divisible_directions(key))
+            assert g.meet(u, key) is meet
+        # every untagged prime shares the None entry
+        assert g.meet(u, 7) is g.meet(u, None)
+
+    def test_meet_examples(self):
+        # Z e1 + Q e2 inside Q^3: W_ALL is the e2 line
+        g = group_rep(3, [((1, 0, 0), ()), ((0, 1, 0), "ALL")])
+        plane = Subspace.span([(0, 1, 0), (0, 0, 1)], 3)
+        assert g.meet(plane, None) == line(3, (0, 1, 0))
+        assert g.meet(line(3, (0, 2, 0)), 2) == line(3, (0, 1, 0))
+        assert g.meet(line(3, (0, 1, 1)), None).is_zero()
+        assert g.meet(line(3, (0, 0, 1)), 5).is_zero()
+        # cached under the prime key, however many untagged primes were asked about
+        spaces = [plane, line(3, (0, 1, 0)), line(3, (0, 1, 1)), line(3, (0, 0, 1))]
+        assert list(g._meet_cache) == [(u, None) for u in spaces]
+
     @given(group_reps(), st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3))
     @settings(max_examples=150, deadline=None)
     def test_member_agrees_with_order_mod(self, g, coeffs):

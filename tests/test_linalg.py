@@ -13,6 +13,7 @@ from torsionfree.linalg import (
     Subspace,
     det,
     hermite_basis,
+    hermite_eliminate,
     hermite_normal_form,
     identity_matrix,
     integer_form,
@@ -178,6 +179,17 @@ class TestHermite:
             tuple(r) for r in h
         )
         assert abs(idet(u)) == 1
+
+    @given(st.integers(0, 6), st.integers(1, 6), st.data())
+    def test_elimination_without_the_transform(self, m, n, data):
+        entries = data.draw(integer_matrices(m, n, bound=30))
+        h, u = hermite_normal_form(entries)
+        work = [list(r) for r in entries]
+        rank = hermite_eliminate(work, n)
+        assert tuple(map(tuple, work)) == h
+        assert rank == sum(1 for r in h if any(r))
+        if m:
+            assert imat_mul(u, tuple(map(tuple, entries))) == h
 
     @given(integer_matrices(4, 3))
     def test_echelon_shape(self, entries):

@@ -8,6 +8,7 @@ quotients only where a verdict asks for them.
 """
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,7 @@ from torsionfree.decomp import (
     set_partitions,
 )
 from torsionfree.groups import (
+    GroupRep,
     SpanMismatch,
     SplitKind,
     group_rep,
@@ -75,6 +77,28 @@ def regulating_combinations(g, height):
             yield combo
 
 
+def G4():
+    """Z[1/2]e1 + Z[1/2]e2 + Q e3 + Z[1/3]e4 + Z(1/2,1/2,0,0) + Z[1/6](0,0,1,1)
+    + Z[1/3](1,1,0,1): rank 4, with W_2 = Q^4, dim W_3 = 3 and W_ALL = Q e3."""
+    h = F(1, 2)
+    return group_rep(4, [
+        ((1, 0, 0, 0), (2,)), ((0, 1, 0, 0), (2,)), ((0, 0, 1, 0), "ALL"), ((0, 0, 0, 1), (3,)),
+        ((h, h, 0, 0), ()), ((0, 0, 1, 1), (2, 3)), ((1, 1, 0, 1), (3,)),
+    ])
+
+
+def random_bases(g, count, seed):
+    """count distinct bases of g drawn from the height-1 candidate vectors."""
+    pool = candidate_vectors(g, 1)
+    rng = random.Random(seed)
+    bases = {}
+    while len(bases) < count:
+        basis = tuple(rng.sample(pool, g.rank))
+        if Subspace.span(basis, g.ambient_dim).dim == g.rank:
+            bases.setdefault(frozenset(basis), basis)
+    return list(bases.values())
+
+
 def corpus_groups():
     # every rank <= 3 group of seeds 0-5 that has at most three generators
     for profile in PROFILES:
@@ -93,6 +117,20 @@ class TestAgreement:
                 assert kind is reference_kind(g, spaces), (name, spaces)
                 checked[kind] += 1
         # every verdict occurs, so no branch agrees vacuously
+        assert all(checked.values()), checked
+
+    def test_rank_four_partitions(self):
+        # the corpus stops at rank 3; here blocks have dimension 1 to 3, and a
+        # plane meets W_3 in a line or in itself
+        g = G4()
+        checked = {kind: 0 for kind in SplitKind}
+        for basis in random_bases(g, 60, seed=4):
+            for blocks in set_partitions(4):
+                if len(blocks) >= 2:
+                    spaces = tuple(Subspace.span([basis[i] for i in block], 4) for block in blocks)
+                    kind = pure_sum_kind(g, spaces)
+                    assert kind is reference_kind(g, spaces), (basis, blocks)
+                    checked[kind] += 1
         assert all(checked.values()), checked
 
     @settings(max_examples=60, deadline=None)
@@ -127,6 +165,20 @@ class TestAgreement:
         line = Subspace.span([(1, 1)], 2)
         with pytest.raises(ValueError):
             pure_sum_kind(G2(), (line, line))
+        with pytest.raises(SpanMismatch):
+            pure_sum_kind(G2(), (line,))
+
+    def test_no_split_builds_no_projection(self, monkeypatch):
+        # the dimension count decides NONE, and the errors of the spaces are
+        # still raised on that path
+        monkeypatch.setattr(groups, "direct_sum_projections", refuse)
+        monkeypatch.setattr(GroupRep, "local", refuse)
+        axes = (Subspace.span([(1, 0)], 2), Subspace.span([(0, 1)], 2))
+        assert pure_sum_kind(G2(), axes) is SplitKind.NONE
+        line = Subspace.span([(1, 1)], 2)
+        with pytest.raises(ValueError) as raised:
+            pure_sum_kind(G2(), (line, line))
+        assert not isinstance(raised.value, SpanMismatch)
         with pytest.raises(SpanMismatch):
             pure_sum_kind(G2(), (line,))
 

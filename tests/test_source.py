@@ -176,7 +176,7 @@ GROUP_INTERNALS = private_members((SRC / "groups.py").read_text(encoding="utf-8"
 
 
 def test_group_internals_are_found():
-    assert {"_w_cache", "_local_cache", "_purify_cache", "_kind_cache"} <= GROUP_INTERNALS
+    assert {"_w_cache", "_local_cache", "_meet_cache", "_purify_cache", "_kind_cache"} <= GROUP_INTERNALS
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
