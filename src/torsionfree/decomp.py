@@ -10,6 +10,10 @@ walked in restricted-growth-string order and candidate bases in
 lexicographic coefficient order.  An empty search result is never a proof
 of indecomposability.
 
+Each basis has one finest exact grouping, since the projections onto block
+spans commute and add; ``finest_grouping`` finds it from the two-block
+verdicts, and every exact grouping is one of its coarsenings.
+
 A search reads its spans from one ``SpanTable``, made for the call and
 dropped with it.  Over the candidate vectors it is the line table: each
 vector's line is computed once and numbered, and the span of a set of line
@@ -267,34 +271,46 @@ class SpanTable:
         return extend(0)
 
 
+def finest_grouping(g: GroupRep, table: SpanTable, ids) -> tuple[tuple[int, ...], ...]:
+    """The classes of positions that no exact two-block grouping separates,
+    ordered by least position: the finest grouping whose hulls sum to g.
+
+    Position i holds the table's piece ids[i], and the pieces span [g].  The
+    projections pi_S onto the span of the pieces in S commute and add, and a
+    grouping is exact iff pi_B maps g into g for each block B, so exact
+    groupings are closed under common refinement and under merging blocks:
+    they are the coarsenings of this one.  Only the two-block groupings are
+    asked, in ``set_partitions`` order.
+    """
+    t = len(ids)
+    # bit j of sides[i]: the j-th two-block grouping is exact and puts i in its second block
+    sides = [0] * t
+    for j, blocks in enumerate(set_partitions(t, 2)):
+        if len(blocks) == 2 and pure_sum_kind(g, table.block_spans(ids, blocks)) is SplitKind.EXACT:
+            for i in blocks[1]:
+                sides[i] |= 1 << j
+    return tuple(tuple(i for i in range(t) if sides[i] == side) for side in dict.fromkeys(sides))
+
+
+def _coarsenings(finest, max_blocks: int):
+    """The groupings of 2..max_blocks blocks that merge the blocks of finest,
+    as blocks of positions.  The blocks of finest are ordered by least
+    position, so merging them in ``set_partitions`` order keeps that order
+    over positions."""
+    for merged in set_partitions(len(finest), max_blocks):
+        if len(merged) >= 2:
+            yield tuple(tuple(sorted(i for b in group for i in finest[b])) for group in merged)
+
+
 def exact_groupings(g: GroupRep, table: SpanTable, ids, max_blocks: int):
     """Groupings of independent pieces into 2..max_blocks blocks whose pure
     hulls sum to g exactly, as (blocks, block spans) in ``set_partitions`` order.
 
-    Position i holds the table's piece ids[i], and the pieces together span
-    [g].  The verdicts come from the block projections alone; no hull is
-    built.
+    They are the coarsenings of ``finest_grouping``, so no further verdict is
+    asked, and no hull is built.
     """
-    for blocks in set_partitions(len(ids), max_blocks):
-        if len(blocks) < 2:
-            continue
-        spans = table.block_spans(ids, blocks)
-        if pure_sum_kind(g, spans) is SplitKind.EXACT:
-            yield blocks, spans
-
-
-def finest_groupings(groupings) -> list:
-    """The (blocks, spans) pairs whose blocks no other pair's blocks refine, in order."""
-    groupings = list(groupings)
-    return [
-        (blocks, spans)
-        for blocks, spans in groupings
-        if not any(other != blocks and _refines(other, blocks) for other, _s in groupings)
-    ]
-
-
-def _refines(fine, coarse) -> bool:
-    return all(any(set(b).issubset(set(c)) for c in coarse) for b in fine)
+    for blocks in _coarsenings(finest_grouping(g, table, ids), max_blocks):
+        yield blocks, table.block_spans(ids, blocks)
 
 
 def _check_rank(rank: int) -> None:
@@ -372,7 +388,15 @@ def complete_decomposition_search(
     results: list[DecompositionRecord] = []
     seen = set()
     for ids, _basis in itertools.chain(given, _generated_bases(g, height_bound, table)):
-        for _blocks, spans in finest_groupings(exact_groupings(g, table, ids, max_blocks)):
+        finest = finest_grouping(g, table, ids)
+        # the maximal exact groupings of at most max_blocks blocks: the finest
+        # one, or its coarsenings into max_blocks blocks when it has more
+        if len(finest) > max_blocks:
+            maximal = [b for b in _coarsenings(finest, max_blocks) if len(b) == max_blocks]
+        else:
+            maximal = [finest] if len(finest) > 1 else []
+        for blocks in maximal:
+            spans = table.block_spans(ids, blocks)
             key = frozenset(spans)
             if key not in seen:
                 seen.add(key)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from math import prod
 
 from .decomp import (
     SpanTable,
@@ -24,7 +25,7 @@ from .decomp import (
     automorphism_check,
     candidate_vectors,
     exact_groupings,
-    finest_groupings,
+    finest_grouping,
     set_partitions,
     span_matrix_image,
 )
@@ -42,7 +43,7 @@ from .groups import (
     purify,
     subgroup_leq,
 )
-from .linalg import Mat, Subspace, Vec, mat
+from .linalg import Mat, Subspace, Vec, hermite_eliminate, mat
 from .indec import typeset_obstruction_certificate
 
 
@@ -134,25 +135,20 @@ def splitting_decompositions_of(a: JonssonBasis, max_blocks: int):
     return [(blocks, tuple(purify(a.group, span) for span in spans)) for blocks, spans in found]
 
 
-def _quotient_subgroup(q: FiniteQuotient, generators) -> frozenset:
-    """Closure of the given image tuples inside the quotient group."""
+def _quotient_subgroup(q: FiniteQuotient, generators) -> tuple[tuple[int, ...], ...]:
+    """The subgroup the image tuples generate, as the Hermite basis of its
+    preimage in Z^k (the tuples and the rows d_i*e_i): unique, so equal
+    subgroups give equal bases, and of full rank, with pivots on the diagonal.
+    """
     factors = q.invariant_factors
-    zero = (0,) * len(factors)
-    frontier = [zero]
-    seen = {zero}
-    while frontier:
-        x = frontier.pop()
-        for gen in generators:
-            y = tuple((a + b) % d for a, b, d in zip(x, gen, factors))
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
+    k = len(factors)
+    work = [list(t) for t in generators] + [[d * (i == j) for j in range(k)] for i, d in enumerate(factors)]
+    rank = hermite_eliminate(work, k)
+    return tuple(tuple(row) for row in work[:rank])
 
 
-def _image_subgroup(a: JonssonBasis, hull: GroupRep) -> frozenset:
-    images = [a.quotient.image(v) for v, _s in hull.generators]
-    return _quotient_subgroup(a.quotient, images)
+def _subgroup_order(q: FiniteQuotient, basis) -> int:
+    return q.order // prod(row[i] for i, row in enumerate(basis))
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,9 @@ def lift_quotient_decomposition(g: GroupRep, a: JonssonBasis, u_generators, w_ge
         raise ValueError("image tuples must match the invariant factors")
     u = _quotient_subgroup(q, u_gens)
     w = _quotient_subgroup(q, w_gens)
-    if len(u & w) != 1 or len(_quotient_subgroup(q, list(u) + list(w))) != q.order:
+    # U + W = G/A is direct iff |U| * |W| = |U + W|
+    both = _quotient_subgroup(q, u_gens + w_gens)
+    if _subgroup_order(q, u) * _subgroup_order(q, w) != q.order or _subgroup_order(q, both) != q.order:
         raise ValueError("the given images are not a direct decomposition of the quotient")
 
     searched = 0
@@ -197,10 +195,8 @@ def lift_quotient_decomposition(g: GroupRep, a: JonssonBasis, u_generators, w_ge
         if pure_sum_kind(a.group, spans) is not SplitKind.EXACT:
             continue
         b_hull, c_hull = (purify(a.group, span) for span in spans)
-        if _image_subgroup(a, b_hull) == u and _image_subgroup(a, c_hull) == w:
-            images = tuple(
-                tuple(q.image(v) for v, _s in hull.generators) for hull in (b_hull, c_hull)
-            )
+        images = tuple(tuple(q.image(v) for v, _s in hull.generators) for hull in (b_hull, c_hull))
+        if [_quotient_subgroup(q, im) for im in images] == [u, w]:
             return LiftReport(True, blocks, (b_hull, c_hull), images, searched)
     return LiftReport(False, None, None, None, searched)
 
@@ -297,40 +293,17 @@ def kernel_check(g: GroupRep, a: JonssonBasis, alpha: Mat) -> bool:
 
 
 def unrefinable_quotient_decompositions(g: GroupRep, a: JonssonBasis):
-    """The maximal exact groupings of the summands: the unrefinable liftable
-    decompositions of the quotient, in sorted order.
-
-    These are the terminal states of recursive exact block refinement, which
-    starts from the one-block grouping and replaces a block by two sub-blocks
-    whenever its hull is the direct sum of theirs:
-
-    - merging blocks of an exact grouping keeps it exact, since an element
-      of a merged block's hull is a sum over G's summands whose parts outside
-      the block lie in independent spans and so vanish; the merged hull is
-      the direct sum of its parts' hulls;
-    - so exact binary refinement from the one block reaches every exact
-      grouping, and a block splits exactly iff some finer exact grouping
-      refines it.
-
-    The terminal states are therefore the exact groupings no other refines,
-    or the one block when no proper grouping is exact.
+    """The one unrefinable liftable decomposition of the quotient, as a
+    one-report list: the finest exact grouping of the summands, where exact
+    block refinement from the one block always ends (``decomp.finest_grouping``).
     """
     if a.quotient.order == 1:
         raise ValueError("the quotient is trivial")
-    t = len(a.summands)
     table, ids = _summand_pieces(a)
-    finest = finest_groupings(exact_groupings(a.group, table, ids, t))
-    if not finest:
-        one = (tuple(range(t)),)
-        finest = [(one, table.block_spans(ids, one))]
-    out = []
-    for blocks, spans in sorted(finest, key=lambda f: f[0]):
-        hulls = tuple(purify(a.group, span) for span in spans)
-        images = tuple(
-            tuple(a.quotient.image(v) for v, _s in hull.generators) for hull in hulls
-        )
-        out.append(LiftReport(True, blocks, hulls, images))
-    return out
+    blocks = finest_grouping(a.group, table, ids)
+    hulls = tuple(purify(a.group, span) for span in table.block_spans(ids, blocks))
+    images = tuple(tuple(a.quotient.image(v) for v, _s in hull.generators) for hull in hulls)
+    return [LiftReport(True, blocks, hulls, images)]
 
 
 def summand_invariants(a: JonssonBasis):

@@ -136,6 +136,15 @@ class TestExitCodes:
         assert done.stdout == ""
         assert "exceeds the partition" in done.stderr
 
+    def test_lift_on_a_large_quotient_finishes(self, tmp_path):
+        # G/A = Z/1000003 for the axis summands: the subgroups of the
+        # quotient must be handled without listing their elements
+        path = tmp_path / "big.grp"
+        path.write_text("group B ambient 2\ngen [1, 0] inv {}\ngen [0, 1] inv {}\ngen [1/1000003, 1/1000003] inv {}\n")
+        done = run_cli(["lift", str(path), "--summands", "(1,0)|(0,1)", "--u", "1", "--w", "-"], timeout=20)
+        assert done.returncode == 0
+        assert done.stdout == "lift: refused (no grouping matches)\ngroupings searched: 1\n"
+
     def test_si_search_without_evidence_is_two(self, capsys):
         # free groups of rank one: no proper partition, no rank-2 certificate
         path = DATA / "g1.grp"

@@ -24,10 +24,12 @@ from torsionfree.decomp import (
     decomposition_record,
     decompositions_isomorphic,
     enumerate_splitting_partitions,
-    finest_groupings,
+    exact_groupings,
+    finest_grouping,
     partition_record,
     set_partitions,
 )
+from torsionfree.cli import main
 from torsionfree.corpus import PROFILES, generate
 from torsionfree.groups import (
     Compare,
@@ -43,6 +45,7 @@ from torsionfree.groups import (
 from torsionfree.indec import property_si_check
 from torsionfree.jonsson import jonsson_basis_from_summands, splitting_decompositions_of
 from torsionfree.linalg import Subspace, identity_matrix, vec
+from test_pure_sum_kind import G4, random_bases
 
 
 def G1():
@@ -285,6 +288,46 @@ class TestSpanTable:
         assert list(table.independent_lines((0, 1, 0, 2), 2)) == [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
+def walked_exact_groupings(g, table, ids, max_blocks):
+    """Reference: every grouping of the positions into 2..max_blocks blocks
+    that ``pure_sum_kind`` calls exact, in ``set_partitions`` order."""
+    found = []
+    for blocks in set_partitions(len(ids), max_blocks):
+        if len(blocks) >= 2:
+            spans = table.block_spans(ids, blocks)
+            if pure_sum_kind(g, spans) is SplitKind.EXACT:
+                found.append((blocks, spans))
+    return found
+
+
+def unrefined(groupings):
+    """Reference: the (blocks, spans) pairs whose blocks no other pair's blocks refine, in order."""
+
+    def refines(fine, coarse):
+        return all(any(set(b) <= set(c) for c in coarse) for b in fine)
+
+    return [
+        (blocks, spans)
+        for blocks, spans in groupings
+        if not any(other != blocks and refines(other, blocks) for other, _s in groupings)
+    ]
+
+
+def walked_search(g, given_bases=(), height_bound=1, max_blocks=None):
+    """Reference: complete_decomposition_search over the walk of every partition."""
+    if max_blocks is None:
+        max_blocks = max(g.rank, 2)
+    table = SpanTable(g.ambient_dim)
+    given = [(table.lines(b.elements), b) for b in given_bases]
+    results, seen = [], set()
+    for ids, _basis in itertools.chain(given, _generated_bases(g, height_bound, table)):
+        for _blocks, spans in unrefined(walked_exact_groupings(g, table, ids, max_blocks)):
+            if frozenset(spans) not in seen:
+                seen.add(frozenset(spans))
+                results.append(_certify_summands(_split_record(g, spans)))
+    return tuple(results)
+
+
 def summand_key_search(g, height_bound):
     """Reference: complete_decomposition_search deduplicating on the sorted keys
     of the purified summands, with the block spans read off PartitionRecord."""
@@ -295,7 +338,7 @@ def summand_key_search(g, height_bound):
             spans = PartitionRecord(basis, blocks).spans
             if len(blocks) >= 2 and pure_sum_kind(g, spans) is SplitKind.EXACT:
                 exact.append((blocks, spans))
-        for _blocks, spans in finest_groupings(exact):
+        for _blocks, spans in unrefined(exact):
             record = _split_record(g, spans)
             key = tuple(sorted(s.key() for s in record.summands))
             if key not in seen:
@@ -315,6 +358,111 @@ def test_span_set_dedupe_on_split_groups():
     for g in (G1(), Z2(), Z(3)):
         found = complete_decomposition_search(g, height_bound=1)
         assert found and found == summand_key_search(g, 1)
+
+
+class TestFinestGrouping:
+    @staticmethod
+    def agrees_with_the_walk(g, table, ids):
+        """Whether exact_groupings is the walk for every bound, and
+        finest_grouping its one unrefined element; the number of blocks."""
+        t = len(ids)
+        for max_blocks in range(2, max(t, 2) + 1):
+            walked = walked_exact_groupings(g, table, ids, max_blocks)
+            assert list(exact_groupings(g, table, ids, max_blocks)) == walked
+        finest = [blocks for blocks, _s in unrefined(walked)] or [(tuple(range(t)),)]
+        assert [finest_grouping(g, table, ids)] == finest
+        return len(finest[0])
+
+    def test_corpus_bases(self):
+        sizes = []
+        for _name, g in small_corpus_groups():
+            table = SpanTable(g.ambient_dim)
+            for ids, _basis in _generated_bases(g, 1, table):
+                sizes.append(self.agrees_with_the_walk(g, table, ids))
+        assert len(sizes) > 900 and {1, 2, 3} <= set(sizes)
+
+    def test_rank_four_bases(self):
+        # the rank-4 group of test_pure_sum_kind, whose random bases rarely
+        # split, and Z^4, whose unimodular bases split into lines
+        g4 = G4()
+        sizes = []
+        for g, bases in ((g4, random_bases(g4, 60, seed=4)), (Z(4), random_bases(Z(4), 60, seed=4))):
+            for basis in bases:
+                table = SpanTable(4)
+                sizes.append(self.agrees_with_the_walk(g, table, table.lines(basis)))
+        assert {1, 4} <= set(sizes)
+
+    def test_jonsson_bases(self):
+        # the summand spans of Jonsson bases of corpus groups up to rank 4
+        sizes = []
+        for profile in PROFILES:
+            for seed in range(40):
+                sample = generate(profile, seed, max_rank=4)
+                g = sample.group
+                lines = [group_rep(g.ambient_dim, [(v, ())]) for v, _s in sample.base.generators]
+                try:
+                    a = jonsson_basis_from_summands(g, lines)
+                except GroupError:
+                    continue
+                table = SpanTable(g.ambient_dim)
+                ids = tuple(table.piece(s.span) for s in a.summand_groups)
+                sizes.append(self.agrees_with_the_walk(g, table, ids))
+        assert len(sizes) >= 40 and max(sizes) >= 3 and sum(n > 1 for n in sizes) >= 15
+
+    def test_no_pieces_and_one_piece(self):
+        table = SpanTable(1)
+        assert finest_grouping(Z(1), table, ()) == ()
+        assert finest_grouping(Z(1), table, table.lines([(1,)])) == ((0,),)
+        assert list(exact_groupings(Z(1), table, table.lines([(1,)]), 2)) == []
+
+
+def test_decomposition_search_asks_two_block_verdicts_once_per_basis(monkeypatch):
+    g = Z(3)
+    sizes = []
+
+    def spy(group, spans):
+        spans = tuple(spans)
+        sizes.append(len(spans))
+        return pure_sum_kind(group, spans)
+
+    monkeypatch.setattr("torsionfree.decomp.pure_sum_kind", spy)
+    found = complete_decomposition_search(g, height_bound=1)
+    bases = list(_generated_bases(g, 1, SpanTable(3)))
+    assert found and set(sizes) == {2}
+    # the three two-block groupings of each basis, asked once
+    assert len(sizes) == 3 * len(bases)
+
+
+class TestMaxBlocksBelowTheRank:
+    def test_z3_search(self):
+        g = Z(3)
+        found = complete_decomposition_search(g, height_bound=1, max_blocks=2)
+        assert found == walked_search(g, height_bound=1, max_blocks=2)
+        assert all(len(r.summands) == 2 for r in found)
+        assert complete_decomposition_search(g, height_bound=1, max_blocks=3) == walked_search(g, height_bound=1)
+
+    @pytest.mark.parametrize("max_blocks", [2, 3, 4])
+    def test_rank_four_given_bases(self, max_blocks):
+        # height 0 lists no candidates, so only the given bases are searched
+        g = Z(4)
+        bases = [basis_record(g, b) for b in random_bases(g, 30, seed=5)]
+        found = complete_decomposition_search(g, bases, height_bound=0, max_blocks=max_blocks)
+        assert found == walked_search(g, bases, height_bound=0, max_blocks=max_blocks)
+        # a basis that splits into fewer blocks than allowed gives its finest grouping
+        assert max(len(r.summands) for r in found) == max_blocks
+
+    def test_decompose_command(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "z3.grp"
+        path.write_text("group Z3 ambient 3\ngen [1, 0, 0] inv {}\ngen [0, 1, 0] inv {}\ngen [0, 0, 1] inv {}\n")
+        argv = ["decompose", str(path), "--height", "1", "--max-blocks", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        monkeypatch.setattr(
+            "torsionfree.cli.complete_decomposition_search",
+            lambda g, height_bound, max_blocks: walked_search(g, height_bound=height_bound, max_blocks=max_blocks),
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out and out.count("decomposition") >= 2
 
 
 class TestCandidateVectors:

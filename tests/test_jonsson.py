@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from torsionfree.groups import (
 )
 from torsionfree.jonsson import (
     InfiniteIndexError,
+    _quotient_subgroup,
+    _subgroup_order,
     JonssonFlag,
     induced_quotient_map,
     jonsson_basis_from_summands,
@@ -158,6 +162,14 @@ class TestLift:
         assert set(report.blocks) == {(0, 1), (2, 3)}
         assert compare(sum_groups(*report.lifted), g) is Compare.EQUAL
 
+    def test_images_are_compared_as_subgroups(self):
+        g = mixed_g3()
+        basis = jonsson_basis_from_summands(g, axis_lines(g))
+        # <4> = <2> in Z/6, and the swapped parts match no grouping
+        assert lift_quotient_decomposition(g, basis, ((3,),), ((4,),)).blocks == ((0, 1), (2, 3))
+        swapped = lift_quotient_decomposition(g, basis, ((2,),), ((3,),))
+        assert not swapped.found and swapped.groupings_searched == 7
+
     def test_refusal_when_no_grouping_matches(self):
         g = G3()
         basis = jonsson_basis_from_summands(g, axis_lines(g))
@@ -170,12 +182,42 @@ class TestLift:
         basis = jonsson_basis_from_summands(g, axis_lines(g))
         with pytest.raises(ValueError):
             lift_quotient_decomposition(g, basis, ((3,),), ((3,),))
+        # <1> + <2> fills Z/6 but the parts meet in <2>
+        with pytest.raises(ValueError):
+            lift_quotient_decomposition(g, basis, ((1,),), ((2,),))
 
     def test_rejects_parts_that_do_not_fill_the_quotient(self):
         g = mixed_g3()
         basis = jonsson_basis_from_summands(g, axis_lines(g))
         with pytest.raises(ValueError):
             lift_quotient_decomposition(g, basis, ((3,),), ())
+
+
+def closure(factors, generators):
+    """Reference: the subgroup of Z/d_1 + ... + Z/d_k the tuples generate, element by element."""
+    zero = (0,) * len(factors)
+    frontier, seen = [zero], {zero}
+    while frontier:
+        x = frontier.pop()
+        for gen in generators:
+            y = tuple((a + b) % d for a, b, d in zip(x, gen, factors))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(), (6,), (2, 4), (3, 9), (2, 2, 6)]), st.data())
+def test_quotient_subgroups_match_their_element_closure(factors, data):
+    q = SimpleNamespace(invariant_factors=factors, order=prod(factors))
+    tuples = st.tuples(*(st.integers(-20, 20) for _ in factors))
+    gens = [data.draw(st.lists(tuples, max_size=3)) for _ in range(2)]
+    reduced = [[tuple(x % d for x, d in zip(t, factors)) for t in gen] for gen in gens]
+    u, w = (_quotient_subgroup(q, gen) for gen in gens)
+    su, sw = (closure(factors, gen) for gen in reduced)
+    assert _subgroup_order(q, u) == len(su) and _subgroup_order(q, w) == len(sw)
+    assert (u == w) == (su == sw)
 
 
 class TestRegulating:
