@@ -5,11 +5,15 @@ deterministic report (or a machine-readable one with --json).  Exit codes
 separate three channels: 0 for definite answers, 2 for scope-limited
 answers (a bounded search that found nothing, an Unknown verdict), 1 for
 errors.  Semi-decided questions stay honest in shell pipelines that way.
+
+The argument parser is built once per process, on the first main() call,
+and shared by every later call, so main(argv) may be called repeatedly.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -659,6 +663,9 @@ def _cmd_verify(args):
 # -- wiring ---------------------------------------------------------------------
 
 
+# Built on the first call and shared: parsing leaves the tree as it was (each
+# parse fills a fresh Namespace, and no action appends or has a mutable default).
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="torsionfree", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

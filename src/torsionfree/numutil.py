@@ -22,8 +22,20 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
+# factorize trial-divides alone up to this divisor before it asks is_prime
+_TRIAL_ONLY = 100
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Factor a positive integer by trial division; returns {prime: exponent}."""
+    """Factor a positive integer by trial division; returns {prime: exponent}.
+
+    Once the trial divisor passes _TRIAL_ONLY, the cofactor left is tested
+    with is_prime, again only after a division has changed it, and a prime
+    cofactor ends the division.  So a large prime factor costs one test, not
+    trial division up to its square root.  Past _MR_LIMIT is_prime may raise
+    ValueError (cannot certify primality).  A composite cofactor without a
+    small factor is still trial-divided.
+    """
     if n <= 0:
         raise ValueError("factorize expects a positive integer, got %r" % (n,))
     out: dict[int, int] = {}
@@ -32,7 +44,12 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 5
+    tested = 0  # the last cofactor is_prime found composite
     while f * f <= n:
+        if f > _TRIAL_ONLY and n != tested:
+            if is_prime(n):
+                break
+            tested = n
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1

@@ -5,7 +5,10 @@ entry is kept byte-identical across repeated runs and different hash
 seeds.
 """
 
+import contextlib
+import io
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +54,44 @@ def run_cli(argv, hashseed="0", timeout=None):
     cmd = [sys.executable, "-m", "torsionfree.cli", *argv]
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def run_main(argv):
+    """main(argv) in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# (argv, exit code, stdout, stderr) of the calls run between the goldens: a
+# parse error, a bad rational and a --json report
+INTERLUDES = [
+    (["member", "tests/data/g3.grp"], 1, "", "error: the following arguments are required: vector\n"),
+    (["member", "tests/data/g3.grp", "(1,1.5)"], 1, "", "error: bad rational: '1.5'\n"),
+    (
+        ["member", "tests/data/g3.grp", "(1/2,1/2)", "--json"],
+        0,
+        '{"command": "member", "result": {"member": true}}\n',
+        "",
+    ),
+]
+
+
+def repeated_golden_mismatches():
+    """Every golden command but the probe3 searches, run through main() in one
+    process in order and then reversed, with an interlude after each; returns
+    a line per output that differs.  Paths are relative to the repo root."""
+    commands = [(name, argv) for name, argv in GOLDEN_COMMANDS if not name.startswith("probe3-")]
+    mismatches = []
+    for step, (name, argv) in enumerate(commands + commands[::-1]):
+        out = run_main(argv)[1]
+        if out != (GOLDEN / name).read_text():
+            mismatches.append(f"{name} (call {step})")
+        interlude, *expected = INTERLUDES[step % len(INTERLUDES)]
+        if list(run_main(interlude)) != expected:
+            mismatches.append(f"{shlex.join(interlude)} after {name}")
+    return mismatches
 
 
 class TestExitCodes:
@@ -212,6 +253,17 @@ class TestLargeNumbers:
         assert done.returncode == 0
         assert done.stdout == "InfiniteTorsion(p=2, direction=(1, 0))\n"
 
+    @pytest.mark.parametrize("command", [["member", "(1,1)", "--oracle"], ["verify"]], ids=["member-oracle", "verify"])
+    def test_factoring_a_31_digit_denominator_fails_fast(self, tmp_path, command):
+        # the oracle bound and verify factor the lattice's entries; the prime
+        # cofactor must fail its certificate rather than be trial-divided
+        path = tmp_path / "bigo.grp"
+        path.write_text("group bigo ambient 2\ngen [1/1000000000000000000000000000057, 0] inv {}\ngen [0, 1] inv {}\n")
+        done = run_cli([command[0], str(path), *command[1:]], timeout=20)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "error: cannot certify primality of a 31-digit number\n"
+
     def test_uncertified_prime_in_prime_set_is_one(self, tmp_path):
         path = tmp_path / "bigp.grp"
         path.write_text("group bigp ambient 1\ngen [1] inv {1000000000000000000000000000057}\n")
@@ -220,6 +272,44 @@ class TestLargeNumbers:
         assert done.stderr == (
             f"error: {path}: line 2, col 14: cannot certify primality of a 31-digit number\n"
         )
+
+
+class TestSharedParser:
+    def test_goldens_repeat_in_one_process(self, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        assert repeated_golden_mismatches() == []
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        # the console script calls main() with no arguments
+        monkeypatch.chdir(ROOT)
+        monkeypatch.setattr(sys, "argv", ["torsionfree", "member", "tests/data/g3.grp", "(1/2,1/2)", "--oracle"])
+        assert main() == 0
+        assert capsys.readouterr().out == (GOLDEN / "g3-member.txt").read_text()
+
+    def test_one_parser_per_process(self):
+        # a fresh process, so that no earlier test has built the parser yet;
+        # add_subparsers runs once per tree (the subparsers do not call it)
+        script = (
+            "from torsionfree import cli\n"
+            "trees = []\n"
+            "class Counting(cli._Parser):\n"
+            "    def add_subparsers(self, **kwargs):\n"
+            "        trees.append(self)\n"
+            "        return super().add_subparsers(**kwargs)\n"
+            "cli._Parser = Counting\n"
+            "for _ in range(3):\n"
+            "    cli.main(['type', 'tests/data/g2.grp', '(1,1)'])\n"
+            "print(len(trees))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True, timeout=60)
+        assert done.stdout == (GOLDEN / "g2-type.txt").read_text() * 3 + "1\n"
+
+
+def test_readme_lists_the_golden_commands():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("The documented examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    listed = [shlex.split(line)[1:] for line in block.splitlines()]
+    assert listed == [argv for _, argv in GOLDEN_COMMANDS]
 
 
 @pytest.mark.parametrize("name,argv", GOLDEN_COMMANDS, ids=[n for n, _ in GOLDEN_COMMANDS])
