@@ -30,16 +30,18 @@ image of an element is its coordinates in that map.  Quasi-equality
 (``quasi``) and minimal multipliers (``order_mod``) read the maps too.
 
 So does purification.  The pure subgroup H = U ∩ G of a subspace U starts
-from the lattice hull inside U plus the pieces U ∩ W_p (``GroupRep.meet``,
-which the split verdict ``pure_sum_kind`` also counts), and is saturated at
-the tagged primes and at the untagged primes where that seed can fall
-short.  G's map at p is one-to-one on U modulo U ∩ W_p, so it sees the
-p-local part of every group between the seed and H exactly.  At p, the
-vectors (sum c_i h_i)/p that lie in G come from the kernel of the current
-generators' coordinates mod p, and those already in the current group from
-the coordinates' integer relations.  Pruning (``simplify_presentation``)
-drops a generator when the others still give H's W_p and lattice at every
-prime key, read in the same maps.  ``purify`` builds one group: its result.
+from the lattice hull inside U, the lifts into U of L ∩ π(U) (π reducing
+modulo W_ALL, L the reduced hull) and the pieces U ∩ W_p (``GroupRep.meet``,
+which the split verdict ``pure_sum_kind`` also counts).  That seed holds
+U ∩ (W_ALL + L), which is H at every untagged prime, so it is saturated at
+the tagged primes only and nothing is factored.  G's map at p is one-to-one
+on U modulo U ∩ W_p, so it sees the p-local part of every group between the
+seed and H exactly.  At p, the vectors (sum c_i h_i)/p that lie in G come
+from the kernel of the current generators' coordinates mod p, and those
+already in the current group from the coordinates' integer relations.
+Pruning (``simplify_presentation``) drops a generator when the others still
+give H's W_p and lattice at every prime key, read in the same maps.
+``purify`` builds one group: its result.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .linalg import (
     mat,
     mat_inverse,
     smith_normal_form,
+    solve_in_rows,
     vec,
     vscale,
 )
@@ -460,38 +463,16 @@ def _index_primes(outer: RationalLattice, inner: RationalLattice) -> set[int]:
     return set(primes_dividing(index.numerator)) | set(primes_dividing(index.denominator))
 
 
-def _all_pattern_gap_primes(g: GroupRep, u: Subspace, seed: RationalLattice):
-    """The untagged primes at which the seed can fall short of U ∩ G.
-
-    At a prime q with no divisibility in G the localization is
-    W_ALL + Z_(q)*L, so the pure subgroup exceeds the seed at q only when q
-    divides the index [span(U) ∩ L : U ∩ L] taken modulo the fully divisible
-    directions.  Without fully divisible directions the two lattices agree
-    and no extra primes arise.
-    """
-    w = g.divisible_directions()
-    if w.dim == 0:
-        return set()
-    pi_u = Subspace.span([w.reduce(r) for r in u.rows], g.ambient_dim)
-    lam = g.local().lattice.intersect_subspace(pi_u)
-    if lam.rank == 0:
-        return set()
-    pi_m = RationalLattice.from_generators(
-        [w.reduce(r) for r in seed.rows], g.ambient_dim
-    )
-    if pi_m.rank != lam.rank:
-        raise RuntimeError("seed lattice lost rank under the ALL reduction")
-    return _index_primes(lam, pi_m)
-
-
 def purify(g: GroupRep, subspace: Subspace) -> GroupRep:
     """The pure subgroup U ∩ G determined by a subspace U.
 
-    Seeds with the hull sublattice of U' = U ∩ span(G) plus the divisible
-    directions inside U', then saturates at a finite set of primes; each
-    adjunction strictly decreases a finite index, so the loop terminates
-    with the full pure subgroup.  Results are memoised on g, so a repeated
-    subspace returns the same object for as long as g lives.
+    Seeds with U' ∩ (W_ALL + L), for U' = U ∩ span(G) and L the reduced
+    hull, plus the divisible directions inside U'.  The seed is the pure
+    subgroup at every untagged prime, so it saturates at the tagged primes
+    only and factors nothing; each adjunction strictly decreases a finite
+    index, so the loop terminates with the full pure subgroup.  Results are
+    memoised on g, so a repeated subspace returns the same object for as
+    long as g lives.
     """
     if subspace.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -574,7 +555,7 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
         return zero_group(g.ambient_dim)
 
     # the untagged lattice grows by saturation; the divisible pieces stay fixed
-    seed = lattice = g.lattice_hull.intersect_subspace(u)
+    seed = g.lattice_hull.intersect_subspace(u)
     pieces: list[Generator] = []
     for p in (*g.tagged_primes, None):
         vp = g.meet(u, p)
@@ -583,12 +564,23 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
             s = ALL if p is None else prime_set([p])
             pieces.extend((row, s) for row in inner.rows)
 
-    # at an untagged prime with W_ALL = 0 the seed is already pure
-    primes = sorted(set(g.tagged_primes) | _all_pattern_gap_primes(g, u, seed))
+    # with π reducing mod W_ALL and L the reduced hull, the seed plus the lifts
+    # into U of L ∩ π(U) and the piece U ∩ W_ALL give U ∩ (W_ALL + L), which
+    # is U ∩ G at every untagged prime (the seed alone is when W_ALL = 0)
+    lattice = seed
+    w = g.divisible_directions()
+    if w.dim:
+        reduced = [w.reduce(r) for r in u.rows]
+        pi_u = Subspace.span(reduced, g.ambient_dim)
+        lifts = [
+            apply_matrix(solve_in_rows(reduced, x), u.rows)
+            for x in g.local().lattice.intersect_subspace(pi_u).rows
+        ]
+        lattice = RationalLattice.from_generators((*seed.rows, *lifts), g.ambient_dim)
 
     for _round in range(256):
         changed = False
-        for p in primes:
+        for p in g.tagged_primes:
             added = _saturation(g, [*lattice.rows, *(v for v, s in pieces if p not in s)], p)
             if added:
                 lattice = RationalLattice.from_generators((*lattice.rows, *added), g.ambient_dim)

@@ -186,6 +186,17 @@ class TestExitCodes:
         assert done.returncode == 0
         assert done.stdout == "lift: refused (no grouping matches)\ngroupings searched: 1\n"
 
+    @pytest.mark.parametrize("n", [10**30 + 57, 1000000000039 * 1000000000061], ids=["prime", "semiprime"])
+    def test_purify_on_a_line_with_a_large_index_finishes(self, tmp_path, n):
+        # the line through (1, n) meets Q e1 + Z e2 in Z (1/n, 1); purify
+        # factors nothing, so neither a 31-digit prime nor a product of two
+        # 13-digit primes stalls or refuses it
+        path = tmp_path / "qz.grp"
+        path.write_text("group Q ambient 2\ngen [1, 0] inv ALL\ngen [0, 1] inv {}\n")
+        done = run_cli(["purify", str(path), f"(1,{n})"], timeout=20)
+        assert done.returncode == 0
+        assert done.stdout == f"purified subgroup:\n  gen [1/{n}, 1] inv {{}}\n"
+
     def test_si_search_without_evidence_is_two(self, capsys):
         # free groups of rank one: no proper partition, no rank-2 certificate
         path = DATA / "g1.grp"

@@ -28,7 +28,16 @@ from torsionfree.groups import (
     zero_group,
 )
 from torsionfree import numutil
-from torsionfree.linalg import CoordinateMap, RationalLattice, Subspace, integer_form, vadd, vec, vscale
+from torsionfree.linalg import (
+    CoordinateMap,
+    RationalLattice,
+    Subspace,
+    integer_form,
+    solve_in_rows,
+    vadd,
+    vec,
+    vscale,
+)
 from torsionfree.numutil import primes_dividing, valuation
 from torsionfree.rank1 import ALL, NO_PRIMES, format_type, parse_type, prime_set
 
@@ -269,9 +278,9 @@ class TestPurify:
         assert compare(r, group_rep(2, [((F(1, 2), 1), ())])) is Compare.EQUAL
 
     def test_large_hull_entries_are_never_factored(self, monkeypatch):
-        # purify saturates only at tagged and gap primes, and the quotient
-        # looks at tagged and index primes, so the 31-digit denominator of
-        # the lattice hull is never factored
+        # purify factors nothing, and the quotient looks at the tagged primes
+        # and the primes of the index, so the 31-digit denominator of the
+        # lattice hull is never factored
         real = numutil.factorize
 
         def small_only(n):
@@ -286,6 +295,34 @@ class TestPurify:
         assert compare(r, group_rep(2, [((1, 1), ())])) is Compare.EQUAL
         a = group_rep(2, [((F(3, big), 0), ()), ((0, 1), (2,))])
         assert index_and_quotient(g, a).quotient.invariant_factors == (3,)
+
+    def test_purify_factors_nothing(self, monkeypatch):
+        # G = Q e1 + Z e2 on the line through (1, 6) is Z (1/6, 1): the seed
+        # is exact at every untagged prime, so no index is factored for 2 or 3
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(numutil, "factorize", refuse)
+        g = group_rep(2, [((1, 0), "ALL"), ((0, 1), ())])
+        assert purify(g, line(2, (1, 6))).generators == (((F(1, 6), 1), NO_PRIMES),)
+
+    @given(
+        group_reps(ambient=3, max_gens=4),
+        vectors(3),
+        st.lists(vectors(3), min_size=1, max_size=2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_purify_factors_nothing_with_divisible_directions(self, g, v, directions):
+        g = group_rep(3, [*g.generators, (v, ALL)])
+        u = Subspace.span([vec(d) for d in directions], 3)
+
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numutil, "factorize", refuse)
+            hull = purify(g, u)
+        assert compare(hull, member_loop_purify(g, u, gap_route=True)) is Compare.EQUAL
 
     def test_repeated_subspace_returns_the_memoised_group(self):
         g = G3()
@@ -644,10 +681,38 @@ class TestPruning:
         assert compare(s, g) is Compare.EQUAL
 
 
-def member_loop_purify(g, subspace):
+def gap_primes(g, u, seed):
+    """The untagged primes at which the hull seed can fall short of U ∩ G.
+
+    At a prime q with no divisibility in G the localization is
+    W_ALL + Z_(q)*L, so the pure subgroup exceeds the seed at q only when q
+    divides the index [span(U) ∩ L : U ∩ L] taken modulo the fully divisible
+    directions.  Without fully divisible directions the two lattices agree
+    and no extra primes arise.  This factors the index.
+    """
+    w = g.divisible_directions()
+    if w.dim == 0:
+        return set()
+    pi_u = Subspace.span([w.reduce(r) for r in u.rows], g.ambient_dim)
+    lam = g.local().lattice.intersect_subspace(pi_u)
+    if lam.rank == 0:
+        return set()
+    pi_m = RationalLattice.from_generators([w.reduce(r) for r in seed.rows], g.ambient_dim)
+    assert pi_m.rank == lam.rank
+    return groups._index_primes(lam, pi_m)
+
+
+def member_loop_purify(g, subspace, gap_route=False):
     """The reference purification: the old loop, which tests every candidate
     z = (sum c_i g_i)/p with ``member`` against a group rebuilt after each
-    adjunction, then prunes with the restart loop."""
+    adjunction, then prunes with the restart loop.
+
+    By default it seeds as ``purify`` does, with the lifts into U of
+    L ∩ π(U) (π reducing mod W_ALL, L the reduced hull) beside the hull
+    lattice in U, and saturates at the tagged primes.  With ``gap_route`` it
+    takes the older route instead: the hull lattice in U alone, saturated at
+    the tagged primes and at the gap primes, found by factoring an index.
+    """
     u = subspace.intersect(g.span)
     if u.dim == 0:
         return zero_group(g.ambient_dim)
@@ -658,6 +723,20 @@ def member_loop_purify(g, subspace):
         if vp.dim:
             s = ALL if p is None else prime_set([p])
             pieces.extend((row, s) for row in g.lattice_hull.intersect_subspace(vp).rows)
+    if gap_route:
+        primes = sorted(set(g.tagged_primes) | gap_primes(g, u, seed))
+    else:
+        primes = g.tagged_primes
+        w = g.divisible_directions()
+        reduced = [w.reduce(r) for r in u.rows]
+        pi_u = Subspace.span(reduced, g.ambient_dim)
+        for x in g.local().lattice.intersect_subspace(pi_u).rows:
+            c = solve_in_rows(reduced, x)
+            lift = vec((0,) * g.ambient_dim)
+            for ci, r in zip(c, u.rows):
+                lift = vadd(lift, vscale(ci, r))
+            assert w.reduce(lift) == x
+            lattice = RationalLattice.from_generators((*lattice.rows, lift), g.ambient_dim)
 
     def presentation():
         return group_rep(g.ambient_dim, [(row, NO_PRIMES) for row in lattice.rows] + pieces)
@@ -678,7 +757,6 @@ def member_loop_purify(g, subspace):
                 out.append(vscale(F(1, p), z))
         return out
 
-    primes = sorted(set(g.tagged_primes) | groups._all_pattern_gap_primes(g, u, seed))
     current = presentation()
     while True:
         changed = False
@@ -698,6 +776,26 @@ class TestSaturation:
     def test_matches_the_member_loop(self, g, directions):
         u = Subspace.span([vec(v) for v in directions], 3)
         assert purify(g, u).generators == member_loop_purify(g, u).generators
+
+    @given(group_reps(ambient=3, max_gens=4), st.lists(vectors(3), min_size=1, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_gap_prime_route(self, g, directions):
+        # the seed may present U ∩ G by other generators than the gap-prime
+        # route did, but never a different group
+        u = Subspace.span([vec(v) for v in directions], 3)
+        assert compare(purify(g, u), member_loop_purify(g, u, gap_route=True)) is Compare.EQUAL
+
+    def test_a_plane_moves_its_presentation_not_its_group(self):
+        # L ∩ π(U) is Z(0, 0, 1/2), and its lift into U is (-1/4, 0, 0), which
+        # is (0, 0, 1/2) modulo U ∩ W_ALL = Q(1, 0, 2); the gap-prime route
+        # saturated the hull seed at the gap prime 2 and kept (0, 0, 1/2)
+        g = group_rep(3, [((0, 1, 0), ()), ((0, 2, 1), "ALL"), ((1, 0, 2), "ALL")])
+        u = Subspace.span([(0, 0, 1), (1, 0, 0)], 3)
+        hull = purify(g, u)
+        assert hull.generators == (((F(1, 4), 0, 0), NO_PRIMES), ((1, 0, 2), ALL))
+        old = member_loop_purify(g, u, gap_route=True)
+        assert old.generators == (((0, 0, F(1, 2)), NO_PRIMES), ((1, 0, 2), ALL))
+        assert compare(hull, old) is Compare.EQUAL
 
     def test_a_key_without_lattice_columns_adds_nothing(self):
         # W_2 is all of [G], so the map at 2 has no lattice columns and every

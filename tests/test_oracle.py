@@ -127,12 +127,17 @@ class TestAgreement:
                 g, x, sufficient_exponent(g, x)
             )
 
-    @given(group_reps(ambient=2, max_gens=3, allow_all=False))
-    @settings(max_examples=50, deadline=None)
-    def test_purify_agreement_on_lines(self, g):
-        if g.rank == 0:
+    @given(group_reps(ambient=2, max_gens=3), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_purify_agreement_on_lines(self, g, coeffs):
+        # the direction is an integer combination of the generators, ALL ones
+        # included, so the line reaches the seed's lifts modulo W_ALL
+        direction = [F(0)] * 2
+        for c, (v, _s) in zip(coeffs, g.generators):
+            direction = [a + c * b for a, b in zip(direction, v)]
+        if not any(direction):
             return
-        direction = g.generators[0][0]
+        direction = tuple(direction)
         u = Subspace.span([vec(direction)], 2)
         r = purify(g, u)
         oracle_gens = brute_force_purify(g, direction, 4)
