@@ -333,7 +333,8 @@ def _cmd_decompose(args):
     payload = {"height": args.height, "decompositions": []}
     if not found:
         lines = [f"none found (height {args.height})"]
-        return 2, lines, payload
+        # a group of rank at most 1 has no decomposition at any height
+        return (2 if g.rank > 1 else 0), lines, payload
     lines = [f"decompositions found: {len(found)} (height {args.height})"]
     for i, record in enumerate(found, start=1):
         flags = ", ".join(f.value for f in record.flags)

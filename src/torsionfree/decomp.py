@@ -136,8 +136,8 @@ def decomposition_record(
         total += s.rank
     if total != group.rank:
         raise ValueError("summand ranks do not add up to the group rank")
-    joined = Subspace.span(
-        [row for s in summands for row in s.span.rows], group.ambient_dim
+    joined = Subspace.from_integer_rows(
+        [row for s in summands for row in s.span.basis], group.ambient_dim
     )
     if joined.dim != total:
         raise ValueError("summand spans are not independent")
@@ -227,14 +227,18 @@ class SpanTable:
 
     def lines(self, vectors) -> tuple[int, ...]:
         """The number of each nonzero vector's line."""
-        return tuple(self.piece(Subspace.span([v], self.ambient_dim)) for v in vectors)
+        return self.integer_lines(integer_form(v)[0] for v in vectors)
+
+    def integer_lines(self, rows) -> tuple[int, ...]:
+        """The number of each nonzero integer row's line."""
+        return tuple(self.piece(Subspace.from_integer_rows([y], self.ambient_dim)) for y in rows)
 
     def span(self, ids: frozenset[int]) -> Subspace:
         """The span of the numbered pieces."""
         space = self._spans.get(ids)
         if space is None:
             rows = [row for i in ids for row in self.pieces[i].basis]
-            space = self._spans[ids] = Subspace.span(rows, self.ambient_dim)
+            space = self._spans[ids] = Subspace.from_integer_rows(rows, self.ambient_dim)
         return space
 
     def block_spans(self, ids, blocks) -> tuple[Subspace, ...]:
@@ -333,13 +337,23 @@ def enumerate_splitting_partitions(
 
 def candidate_vectors(g: GroupRep, height_bound: int) -> tuple[Vec, ...]:
     """Nonzero integer combinations of the generators, coefficients bounded
-    by height_bound, deduplicated up to sign, in lexicographic order.
+    by height_bound, deduplicated up to sign, in lexicographic order: the
+    ``candidate_sums`` over their denominator."""
+    return _vectors(*candidate_sums(g, height_bound))
 
-    The generators are scaled to integer rows over one common denominator,
-    so the walk, the sign (first nonzero entry positive) and the dedupe run
-    on integer tuples.  The sums come in ``itertools.product`` order of the
-    coefficient tuples: each generator's multiples are added to every sum of
-    the generators before it.
+
+def _vectors(sums, d: int) -> tuple[Vec, ...]:
+    return tuple(tuple(Fraction(e, d) for e in y) for y in sums)
+
+
+def candidate_sums(g: GroupRep, height_bound: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(sums, d): the candidate vectors are the integer rows sums over d.
+
+    The generators are scaled to integer rows over one common denominator
+    d, so the walk, the sign (first nonzero entry positive) and the dedupe
+    run on integer tuples.  The sums come in ``itertools.product`` order of
+    the coefficient tuples: each generator's multiples are added to every
+    sum of the generators before it.
     """
     n = g.ambient_dim
     flat, d = integer_form([e for v, _s in g.generators for e in v])
@@ -354,14 +368,16 @@ def candidate_vectors(g: GroupRep, height_bound: int) -> tuple[Vec, ...]:
         lead = next((e for e in y if e), 0)
         if lead:
             seen[y if lead > 0 else tuple(-e for e in y)] = None
-    return tuple(tuple(Fraction(e, d) for e in y) for y in seen)
+    return tuple(seen), d
 
 
 def _generated_bases(g: GroupRep, height_bound: int, table: SpanTable):
     """Each basis of g among the candidate vectors, with its line numbers in
-    the table, as (ids, basis) in ``itertools.combinations`` order."""
-    pool = candidate_vectors(g, height_bound)
-    ids = table.lines(pool)
+    the table, as (ids, basis) in ``itertools.combinations`` order.  The
+    lines are numbered from the integer sums."""
+    sums, d = candidate_sums(g, height_bound)
+    ids = table.integer_lines(sums)
+    pool = _vectors(sums, d)
     for positions in table.independent_lines(ids, g.rank):
         # combinations of generators lie in the group by construction
         yield tuple(ids[i] for i in positions), BasisRecord(g, tuple(pool[i] for i in positions))

@@ -15,10 +15,13 @@ W_ALL and the lattice hull modulo W_ALL, so the per-prime data is keyed by
 the prime key: p itself when p is tagged, and None for ALL and every
 untagged prime.  ``GroupRep.divisible_directions(p)`` (W_p) and
 ``GroupRep.local(p)`` (W_p, L_p and their coordinate map) are the one home
-of that data, cached per prime key.  The coordinate map
-(``linalg.CoordinateMap``) is an integer matrix N with one scale s sending
-x = y/d to coordinate numerators y*N over d*s.  So x lies in G iff the
-untagged map's residual vanishes (x is in the span), no coordinate
+of that data, cached per prime key.  Both start from the generators'
+integer forms: W_p is their echelon span, and L_p their residues modulo
+W_p in one Hermite form over a common denominator, with no Fraction built.
+The coordinate map (``linalg.CoordinateMap``) is an integer matrix N with
+one scale s sending x = y/d to coordinate numerators y*N over d*s.  So x
+lies in G iff the untagged map's residual vanishes (x is in the span), no
+coordinate
 denominator of the map at a tagged prime p is divisible by p, and the
 untagged map's coordinate denominators are products of tagged primes.
 Deciding this takes one lcm, integer dot products and gcds, with no
@@ -138,14 +141,12 @@ class GroupRep:
 
     @cached_property
     def span(self) -> Subspace:
-        return Subspace.span([v for v, _s in self.generators], self.ambient_dim)
+        return Subspace.from_integer_rows([y for y, _d in self._integer_generators], self.ambient_dim)
 
     @cached_property
     def lattice_hull(self) -> RationalLattice:
         """The Z-span of the generator vectors."""
-        return RationalLattice.from_generators(
-            [v for v, _s in self.generators], self.ambient_dim
-        )
+        return RationalLattice.from_integer_forms(self._integer_generators, self.ambient_dim)
 
     @cached_property
     def _integer_generators(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -187,9 +188,9 @@ class GroupRep:
             key = self.prime_key(p)
             if key != p:
                 return self.divisible_directions(key)
-            cached = self._w_cache[key] = Subspace.span(
-                [v for v, s in self.generators if _inverted_at(s, key)],
-                self.ambient_dim,
+            gens = zip(self._integer_generators, self.generators)
+            cached = self._w_cache[key] = Subspace.from_integer_rows(
+                [y for (y, _d), (_v, s) in gens if _inverted_at(s, key)], self.ambient_dim
             )
         return cached
 
@@ -224,9 +225,13 @@ class GroupRep:
             if key != p:
                 return self.local(key)
             w = self.divisible_directions(key)
-            rest = [w.reduce(v) for v, s in self.generators if not _inverted_at(s, key)]
+            rest = []
+            for (y, d), (_v, s) in zip(self._integer_generators, self.generators):
+                if not _inverted_at(s, key):
+                    r, b = w._residual(y)
+                    rest.append((r, b * d))
             cached = self._local_cache[key] = LocalData(
-                w, RationalLattice.from_generators(rest, self.ambient_dim)
+                w, RationalLattice.from_integer_forms(rest, self.ambient_dim)
             )
         return cached
 
@@ -412,19 +417,20 @@ def _fp_extend(basis: list[tuple[int, list[int]]], c, p: int) -> bool:
     return True
 
 
-def _saturation(g: GroupRep, gens: list[Vec], p: int) -> list[Vec]:
-    """The vectors z = (sum c_i g_i)/p that saturating C at p adjoins.
+def _saturation(g: GroupRep, forms, p: int) -> list[tuple[list[int], int]]:
+    """The vectors z = (sum c_i g_i)/p that saturating C at p adjoins, as
+    (integer row, denominator) pairs.
 
-    C is the current group: ``gens``, its generators not inverted at p, plus
-    pieces inverted at p that span U ∩ W_p.  The c run in order over the
-    kernel of the gens' coordinates mod p in G's map at p, so every z lies
-    in G.  Away from p, 1/p is a unit and z lies in C.  At p, G's map is
-    one-to-one on U modulo U ∩ W_p, so z lies in C iff c is, mod p, an
-    integer relation among the coordinates plus a combination of the c
-    already taken.  Such c are skipped; the others are taken.
+    C is the current group: the g_i = y_i/d_i of ``forms``, its generators
+    not inverted at p, plus pieces inverted at p that span U ∩ W_p.  The c
+    run in order over the kernel of the g_i's coordinates mod p in G's map
+    at p, so every z lies in G.  Away from p, 1/p is a unit and z lies in
+    C.  At p, G's map is one-to-one on U modulo U ∩ W_p, so z lies in C iff
+    c is, mod p, an integer relation among the coordinates plus a
+    combination of the c already taken.  Such c are skipped; the others are
+    taken.
     """
     local = g.local(p).map
-    forms = [integer_form(v) for v in gens]
     coords = []
     for y, d in forms:
         if not local.in_span(y):
@@ -435,7 +441,7 @@ def _saturation(g: GroupRep, gens: list[Vec], p: int) -> list[Vec]:
     # the coordinates n/den are p-integral: p's part of den divides every n
     pe = p ** valuation(den, p)
     unit = pow(den // pe, -1, p)
-    kernel = _fp_left_kernel([[n // pe * unit % p for n in r] for r in rows], p, len(gens))
+    kernel = _fp_left_kernel([[n // pe * unit % p for n in r] for r in rows], p, len(forms))
     if not kernel:
         return []
     taken: list[tuple[int, list[int]]] = []
@@ -446,9 +452,7 @@ def _saturation(g: GroupRep, gens: list[Vec], p: int) -> list[Vec]:
     for c in kernel:
         if _fp_extend(taken, c, p):
             terms = [(ci * (common // d), y) for ci, (y, d) in zip(c, forms) if ci]
-            out.append(tuple(
-                Fraction(sum(k * y[j] for k, y in terms), common * p) for j in range(g.ambient_dim)
-            ))
+            out.append(([sum(k * y[j] for k, y in terms) for j in range(g.ambient_dim)], common * p))
     return out
 
 
@@ -457,9 +461,10 @@ def _index_primes(outer: RationalLattice, inner: RationalLattice) -> set[int]:
     one span share pivot columns, so the index is the ratio of the pivot products."""
     if outer.pivots != inner.pivots:
         raise ValueError("the lattices do not span the same subspace")
-    index = Fraction(1)
-    for r_in, r_out, j in zip(inner.rows, outer.rows, outer.pivots):
-        index *= r_in[j] / r_out[j]
+    index = Fraction(
+        prod(r[j] for r, j in zip(inner.numerators, inner.pivots)) * outer.denominator**outer.rank,
+        prod(r[j] for r, j in zip(outer.numerators, outer.pivots)) * inner.denominator**inner.rank,
+    )
     return set(primes_dividing(index.numerator)) | set(primes_dividing(index.denominator))
 
 
@@ -528,7 +533,7 @@ def _pure_sum_kind(g: GroupRep, spaces: tuple[Subspace, ...]) -> SplitKind:
     if short:
         # the count assumes the spaces independent: check that, and only here,
         # since direct_sum_projections checks it on the other path
-        total = Subspace.span([row for u in spaces for row in u.basis], g.ambient_dim)
+        total = Subspace.from_integer_rows([row for u in spaces for row in u.basis], g.ambient_dim)
         if total.dim != sum(u.dim for u in spaces):
             raise ValueError("the subspaces are not independent")
     else:
@@ -556,13 +561,12 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
 
     # the untagged lattice grows by saturation; the divisible pieces stay fixed
     seed = g.lattice_hull.intersect_subspace(u)
-    pieces: list[Generator] = []
+    pieces: list[tuple[RationalLattice, PrimeSet]] = []
     for p in (*g.tagged_primes, None):
         vp = g.meet(u, p)
         if vp.dim:
             inner = seed if vp == u else g.lattice_hull.intersect_subspace(vp)
-            s = ALL if p is None else prime_set([p])
-            pieces.extend((row, s) for row in inner.rows)
+            pieces.append((inner, ALL if p is None else prime_set([p])))
 
     # with π reducing mod W_ALL and L the reduced hull, the seed plus the lifts
     # into U of L ∩ π(U) and the piece U ∩ W_ALL give U ∩ (W_ALL + L), which
@@ -576,17 +580,22 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
             apply_matrix(solve_in_rows(reduced, x), u.rows)
             for x in g.local().lattice.intersect_subspace(pi_u).rows
         ]
-        lattice = RationalLattice.from_generators((*seed.rows, *lifts), g.ambient_dim)
+        lattice = RationalLattice.from_integer_forms(
+            [*seed.forms, *map(integer_form, lifts)], g.ambient_dim
+        )
 
     for _round in range(256):
         changed = False
         for p in g.tagged_primes:
-            added = _saturation(g, [*lattice.rows, *(v for v, s in pieces if p not in s)], p)
+            fixed = [form for inner, s in pieces if p not in s for form in inner.forms]
+            added = _saturation(g, [*lattice.forms, *fixed], p)
             if added:
-                lattice = RationalLattice.from_generators((*lattice.rows, *added), g.ambient_dim)
+                lattice = RationalLattice.from_integer_forms([*lattice.forms, *added], g.ambient_dim)
                 changed = True
         if not changed:
-            return simplify_presentation(g, [(row, NO_PRIMES) for row in lattice.rows] + pieces)
+            gens = [(row, NO_PRIMES) for row in lattice.rows]
+            gens += [(row, s) for inner, s in pieces for row in inner.rows]
+            return simplify_presentation(g, gens)
     raise RuntimeError("purification failed to stabilize (internal error)")
 
 
@@ -642,14 +651,14 @@ def _drop_test(g: GroupRep, gens: list[Generator]):
         divisible = [y for r, (y, _d) in zip(rows, forms) if r is None]
         pivots = _hermite_pivots([r for r in rows if r is not None])
         per_key.append(
-            (key, rows, Subspace.span(divisible, g.ambient_dim).dim, len(pivots), prod(pivots))
+            (key, rows, Subspace.from_integer_rows(divisible, g.ambient_dim).dim, len(pivots), prod(pivots))
         )
 
     def can_drop(i: int, rest: list[int]) -> bool:
         for key, rows, dim, rank, full in per_key:
             if rows[i] is None:
                 divisible = [forms[j][0] for j in rest if rows[j] is None]
-                if Subspace.span(divisible, g.ambient_dim).dim < dim:
+                if Subspace.from_integer_rows(divisible, g.ambient_dim).dim < dim:
                     return False
                 continue
             pivots = _hermite_pivots([rows[j] for j in rest if rows[j] is not None])
@@ -894,15 +903,15 @@ def _finite_quotient_parts(g: GroupRep, a: GroupRep):
     return sorted(parts, key=lambda part: part[0])
 
 
-def _coordinate_smith(local: CoordinateMap, rows):
-    """(s, d, V) for rows spanning the lattice of a coordinate map modulo its W.
+def _coordinate_smith(local: CoordinateMap, lattice: RationalLattice):
+    """(s, d, V) for a lattice spanning the lattice of a coordinate map modulo its W.
 
-    s is the least common denominator of the rows' coordinates, and d and V
-    are the invariant factors and the column transform of the Smith form of
-    s times the coordinate matrix.
+    s is the least common denominator of the coordinates of the lattice's
+    rows, and d and V are the invariant factors and the column transform of
+    the Smith form of s times the coordinate matrix.
     """
     scaled = []
-    for y, den in map(integer_form, rows):
+    for y, den in lattice.forms:
         if not local.in_span(y):
             raise RuntimeError("a row escapes the span of the coordinate map")
         scaled.append((local.numerators(y), den * local.scale))
@@ -927,7 +936,7 @@ def _quotient_parts_at(g: GroupRep, a: GroupRep, key: int | None, primes):
     local = g.local(key).map
     if not local.columns:
         return []
-    denom, d, v = _coordinate_smith(local, a.lattice_hull.rows)
+    denom, d, v = _coordinate_smith(local, a.lattice_hull)
     transform = None
     parts = []
     for p in primes:

@@ -23,7 +23,7 @@ from .decomp import (
     SpanTable,
     apply_span_matrix,
     automorphism_check,
-    candidate_vectors,
+    candidate_sums,
     exact_groupings,
     finest_grouping,
     set_partitions,
@@ -103,13 +103,13 @@ def jonsson_basis_from_summands(g: GroupRep, candidates) -> JonssonBasis:
     if not candidates:
         raise ValueError("no candidate summands")
     total_dim = 0
-    joined: list[Vec] = []
+    joined: list[tuple[int, ...]] = []
     for c in candidates:
         if c.ambient_dim != g.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         total_dim += c.rank
-        joined.extend(c.span.rows)
-    span = Subspace.span(joined, g.ambient_dim)
+        joined.extend(c.span.basis)
+    span = Subspace.from_integer_rows(joined, g.ambient_dim)
     if span.dim != total_dim:
         raise GroupError("candidate spans overlap")
     if span.dim != g.rank:
@@ -214,7 +214,7 @@ def regulating_search(g: GroupRep, height_bound: int = 2):
     # each line lies in [G]; its pure hull is built only once a combination
     # of finite index needs it
     table = SpanTable(g.ambient_dim)
-    table.lines(candidate_vectors(g, height_bound))
+    table.integer_lines(candidate_sums(g, height_bound)[0])
     best: JonssonBasis | None = None
     for positions in table.independent_lines(range(len(table.pieces)), g.rank):
         combo = tuple(table.pieces[i] for i in positions)

@@ -10,6 +10,13 @@ rows and reduced by one fraction-free Gauss-Jordan kernel, ``_eliminate``
 (Bareiss, Math. Comp. 22, 1968).  ``rref``, ``det``, ``Subspace`` and the
 lattice coordinates of ``CoordinateMap`` all use it; Hermite and Smith forms
 work over Z directly.
+
+Subspaces and lattices are held as integers.  A ``Subspace`` keeps its
+primitive integer echelon rows; a ``RationalLattice`` keeps the Hermite basis
+of s*L over the least s with s*L integral.  Both forms are unique, so equal
+objects compare and hash equal, and callers holding integer rows (y, d) for
+y/d build them without a ``Fraction`` (``Subspace.from_integer_rows``,
+``RationalLattice.from_integer_forms``).
 """
 
 from __future__ import annotations
@@ -409,7 +416,12 @@ class Subspace:
 
     @staticmethod
     def span(vectors, ambient_dim: int) -> "Subspace":
-        work = [integer_form(v)[0] for v in vectors]
+        return Subspace.from_integer_rows([integer_form(v)[0] for v in vectors], ambient_dim)
+
+    @staticmethod
+    def from_integer_rows(rows, ambient_dim: int) -> "Subspace":
+        """The span of integer rows; a row y spans the line of every y/d."""
+        work = list(rows)
         for r in work:
             if len(r) != ambient_dim:
                 raise ValueError("vector length %d does not match ambient %d" % (len(r), ambient_dim))
@@ -434,18 +446,19 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def _residual(self, x) -> tuple[list[int], int]:
-        """(r, s): r / s is x minus its part along the basis, zero at the pivots."""
-        if len(x) != self.ambient_dim:
+    def _residual(self, y) -> tuple[tuple[int, ...] | list[int], int]:
+        """(r, b) for an integer vector y: r / b is y minus its part along the
+        basis, zero at the pivots, and b > 0 is a product of pivot entries."""
+        if len(y) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        residual, s = integer_form(x)
+        residual, b = y, 1
         for row, piv in zip(self.basis, self.pivots):
             c = residual[piv]
             if c:
-                b = row[piv]
-                residual = [b * e - c * g for e, g in zip(residual, row)]
-                s *= b
-        return residual, s
+                e = row[piv]
+                residual = [e * a - c * g for a, g in zip(residual, row)]
+                b *= e
+        return residual, b
 
     def _check_ambient(self, other: "Subspace") -> None:
         if other.ambient_dim != self.ambient_dim:
@@ -458,22 +471,23 @@ class Subspace:
     def contains_vector(self, x: Vec) -> bool:
         if self._reduced(x):
             return not any(x)
-        return not any(self._residual(x)[0])
+        return not any(self._residual(integer_form(x)[0])[0])
 
     def reduce(self, x: Vec) -> Vec:
         """Canonical coset representative of x modulo this subspace."""
         if self._reduced(x):
             return tuple(x)
-        residual, s = self._residual(x)
-        return tuple(Fraction(e, s) for e in residual)
+        y, d = integer_form(x)
+        residual, b = self._residual(y)
+        return tuple(Fraction(e, b * d) for e in residual)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(r) for r in other.basis)
+        return all(not any(self._residual(r)[0]) for r in other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(self.basis + other.basis, self.ambient_dim)
+        return Subspace.from_integer_rows(self.basis + other.basis, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection by one Zassenhaus elimination of [a | a] over [b | 0].
@@ -534,11 +548,14 @@ def direct_sum_projections(spaces, ambient_dim: int) -> tuple[Subspace, tuple[IM
 
 @dataclass(frozen=True)
 class RationalLattice:
-    """A finitely generated (free) subgroup of Q^n in canonical HNF basis.
+    """A finitely generated (free) subgroup L of Q^n, held as integers.
 
-    Canonical form: with s the lcm of all basis-entry denominators, s * rows
-    is the Hermite basis of the integer lattice s * L.  Equal lattices compare
-    equal structurally.
+    Canonical form: ``denominator`` is the least s > 0 with s * L integral,
+    and ``numerators`` is the Hermite basis of the integer lattice s * L, so
+    gcd(s, all numerators) = 1.  The form is unique, so equal lattices
+    compare and hash equal.  Every lattice is built by ``from_integer_forms``,
+    which runs the Hermite elimination over one common denominator and then
+    divides out that gcd; ``rows`` is the Fraction view numerators / s.
 
     Echelon invariant: the rows are in Hermite normal form, so their pivots
     (first nonzero columns) strictly increase, and the rows are independent.
@@ -547,36 +564,52 @@ class RationalLattice:
     """
 
     ambient_dim: int
-    rows: Mat
+    numerators: IMat
+    denominator: int
 
     @staticmethod
     def from_generators(vectors, ambient_dim: int) -> "RationalLattice":
-        gens = [vec(v) for v in vectors]
-        for g in gens:
-            if len(g) != ambient_dim:
+        """The Z-span of rational vectors."""
+        return RationalLattice.from_integer_forms(map(integer_form, vectors), ambient_dim)
+
+    @staticmethod
+    def from_integer_forms(forms, ambient_dim: int) -> "RationalLattice":
+        """The Z-span of the vectors y/d, for pairs (y, d) of an integer row
+        and a positive integer: the Hermite form of the rows over their least
+        common denominator, reduced to the canonical form."""
+        forms = list(forms)
+        for y, _d in forms:
+            if len(y) != ambient_dim:
                 raise ValueError("vector length mismatch")
-        gens = [g for g in gens if not is_zero_vec(g)]
-        if not gens:
-            return RationalLattice(ambient_dim, ())
-        # the Hermite basis of s * L over the lcm s of the denominators
-        flat, s = integer_form([e for g in gens for e in g])
-        n = ambient_dim
-        work = [list(flat[i * n : (i + 1) * n]) for i in range(len(gens))]
-        rank = hermite_eliminate(work, n)
-        return RationalLattice(n, tuple(tuple(Fraction(e, s) for e in r) for r in work[:rank]))
+        s = lcm(*[d for _y, d in forms])
+        work = [[e * (s // d) for e in y] for y, d in forms]
+        basis = work[: hermite_eliminate(work, ambient_dim)]
+        g = gcd(s, *[e for r in basis for e in r])
+        return RationalLattice(ambient_dim, tuple(tuple(e // g for e in r) for r in basis), s // g)
+
+    @cached_property
+    def rows(self) -> Mat:
+        """The basis rows as Fraction vectors."""
+        s = self.denominator
+        return tuple(tuple(Fraction(e, s) for e in r) for r in self.numerators)
+
+    @property
+    def forms(self) -> list[tuple[tuple[int, ...], int]]:
+        """The basis rows as (integer row, denominator) pairs."""
+        return [(r, self.denominator) for r in self.numerators]
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.numerators)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
         """Pivot column of each basis row, strictly increasing."""
-        return tuple(next(j for j, e in enumerate(r) if e) for r in self.rows)
+        return tuple(next(j for j, e in enumerate(r) if e) for r in self.numerators)
 
     @cached_property
     def _map(self) -> "CoordinateMap":
-        return CoordinateMap.build(Subspace.span((), self.ambient_dim), self)
+        return CoordinateMap.build(Subspace(self.ambient_dim, (), ()), self)
 
     def coordinates(self, x: Vec) -> Vec | None:
         """Rational coordinates of x in the basis rows, or None if off-span."""
@@ -589,25 +622,22 @@ class RationalLattice:
 
     def intersect_subspace(self, space: Subspace) -> "RationalLattice":
         """The sublattice of vectors lying in the given subspace."""
-        if not self.rows or space.is_zero():
-            return RationalLattice(self.ambient_dim, ())
+        n = self.ambient_dim
+        if not self.numerators or space.is_zero():
+            return RationalLattice.from_integer_forms((), n)
         # Solve for integer coefficient rows c with c * rows inside the space:
-        # the constraints are the basis rows reduced mod the space, over one
-        # common scale.  Scaling the whole matrix leaves its Hermite transform
-        # alone, so the primitive matrix gives the same kernel rows.
-        residuals = [space._residual(r) for r in self.rows]
-        scale = lcm(*[s for _r, s in residuals])
-        constraints = [[e * (scale // s) for e in r] for r, s in residuals]
+        # the constraints are the numerator rows reduced mod the space, over
+        # one common scale.  Scaling the whole matrix leaves its Hermite
+        # transform alone, so the primitive matrix gives the same kernel rows.
+        residuals = [space._residual(r) for r in self.numerators]
+        scale = lcm(*[b for _r, b in residuals])
+        constraints = [[e * (scale // b) for e in r] for r, b in residuals]
         content = gcd(*[e for r in constraints for e in r]) or 1
         kernel = integer_kernel([[e // content for e in r] for r in constraints])
-        # c * (s * rows) over the rows' common denominator s: HNF(s*L)/s is
-        # the canonical basis of L whatever the integral scale s
-        flat, s = integer_form([e for r in self.rows for e in r])
-        n = self.ambient_dim
-        ints = [flat[i * n : (i + 1) * n] for i in range(self.rank)]
-        work = [[sum(map(mul, k, col)) for col in zip(*ints)] for k in kernel]
-        rank = hermite_eliminate(work, n)
-        return RationalLattice(n, tuple(tuple(Fraction(e, s) for e in r) for r in work[:rank]))
+        cols = list(zip(*self.numerators))
+        return RationalLattice.from_integer_forms(
+            (([sum(map(mul, k, col)) for col in cols], self.denominator) for k in kernel), n
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -619,13 +649,15 @@ class RationalLattice:
 class CoordinateMap:
     """Lattice coordinates of x modulo a subspace W, as one integer matrix.
 
-    B stacks W's echelon rows, the lattice rows cleared of their
-    denominators, and unit rows at the columns that are pivots of neither;
-    x * B^-1 holds x's part in W, its lattice coordinates over those
-    denominators, and its residual at the free columns.  One ``_eliminate``
-    of [B | the row denominators on a diagonal] gives the last two over the
-    last pivot.  With x = y/d (``integer_form``), the coordinates of
-    (x mod W) are ``numerators(y)`` over d * scale, and x lies in
+    B stacks W's echelon rows, the lattice's numerator rows (its rows times
+    its denominator), and unit rows at the columns that are pivots of
+    neither; D is the diagonal of the row denominators.  x * B^-1 * D holds
+    x's part in W, its lattice coordinates and its residual at the free
+    columns.  One ``_eliminate`` of [B | D] gives the last two over the last
+    pivot; dividing out their content leaves that rational matrix over its
+    least denominator, and the matrix depends on the lattice, not on how
+    its rows are scaled.  With x = y/d (``integer_form``), the coordinates
+    of (x mod W) are ``numerators(y)`` over d * scale, and x lies in
     W + span(lattice) iff ``in_span(y)``.  ``build`` raises ValueError
     unless B is square and invertible (the lattice reduced mod W).
     """
@@ -641,7 +673,7 @@ class CoordinateMap:
             raise ValueError("dimension mismatch")
         taken = set(space.pivots) | set(lattice.pivots)
         units = [(tuple(int(i == j) for i in range(n)), 1) for j in range(n) if j not in taken]
-        rows = [(row, 1) for row in space.basis] + list(map(integer_form, lattice.rows)) + units
+        rows = [(row, 1) for row in space.basis] + lattice.forms + units
         m = len(rows)
         work = [[*row, *(den * (i == j) for j in range(m))] for i, (row, den) in enumerate(rows)]
         pivots, _sign = _eliminate(work, n)

@@ -70,7 +70,7 @@ def quasi_equal_strict(h: GroupRep, g: GroupRep) -> QuasiWitness | None:
     r = Fraction(1)
     for p in keys:
         # G's lattice at p in H's basis: both are taken modulo the shared W_p
-        sigma, factors, _v = _coordinate_smith(h.local(p).map, g.local(p).lattice.rows)
+        sigma, factors, _v = _coordinate_smith(h.local(p).map, g.local(p).lattice)
         if not factors:
             continue
         if p is None:

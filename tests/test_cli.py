@@ -103,6 +103,18 @@ class TestExitCodes:
         assert main(["decompose", str(DATA / "g2.grp"), "--height", "1"]) == 2
         assert "none found" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("gens", ["", "gen [1, 2] inv {3}\n"], ids=["rank0", "rank1"])
+    def test_decompose_below_rank_two_is_a_definite_no(self, tmp_path, capsys, gens):
+        # a group of rank at most 1 has no decomposition at any height
+        path = tmp_path / "r.grp"
+        path.write_text("group r ambient 2\n" + gens)
+        assert main(["decompose", str(path)]) == 0
+        assert capsys.readouterr().out == "none found (height 1)\n"
+        assert main(["decompose", str(path), "--height", "2", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"command": "decompose", "result": {"decompositions": [], "height": 2}}\n'
+        )
+
     def test_missing_file_is_one(self, capsys):
         assert main(["member", str(DATA / "missing.grp"), "(1,0)"]) == 1
 

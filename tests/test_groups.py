@@ -40,6 +40,7 @@ from torsionfree.linalg import (
 )
 from torsionfree.numutil import primes_dividing, valuation
 from torsionfree.rank1 import ALL, NO_PRIMES, format_type, parse_type, prime_set
+from test_linalg import fraction_coordinate_map, fraction_hermite_rows
 
 
 def G1():
@@ -213,6 +214,56 @@ class TestPerPrimeView:
         for q in (1, *SMALL_PRIMES, 7, 4, 9, 25, 49):
             z = vscale(F(1, q), x)
             assert member(g, z) == (order_mod(g, *integer_form(z)) == 1)
+
+
+def fraction_local(g, key):
+    """Reference: W_p from the Fraction generators, and the Fraction HNF of the
+    other generators reduced modulo W_p by ``Subspace.reduce``."""
+    inverted = [(v, s.is_all if key is None else key in s) for v, s in g.generators]
+    w = Subspace.span([v for v, inv in inverted if inv], g.ambient_dim)
+    return w, fraction_hermite_rows([w.reduce(v) for v, inv in inverted if not inv], g.ambient_dim)
+
+
+def corpus_groups():
+    samples = [generate(p, s) for p in ("cd", "mixed", "acd", "butler") for s in range(6)]
+    return [group_rep(h.ambient_dim, h.generators) for x in samples for h in (x.group, x.base)]
+
+
+class TestIntegerBuild:
+    """The per-prime data is built from the integer generators; it must equal
+    the Fraction route it replaced."""
+
+    @staticmethod
+    def check(g):
+        assert g.span == Subspace.span([v for v, _s in g.generators], g.ambient_dim)
+        assert g.lattice_hull.rows == fraction_hermite_rows([v for v, _s in g.generators], g.ambient_dim)
+        for key in (*g.tagged_primes, None):
+            w, rows = fraction_local(g, key)
+            local = g.local(key)
+            assert local.space == w
+            assert local.lattice.rows == rows
+            assert local.map == fraction_coordinate_map(w, local.lattice)
+
+    def test_corpus_groups_match_the_fraction_route(self):
+        for g in corpus_groups():
+            self.check(g)
+
+    @given(group_reps(ambient=3, max_gens=4), vectors(3))
+    @settings(max_examples=120)
+    def test_groups_with_divisible_directions_match_the_fraction_route(self, g, v):
+        self.check(group_rep(3, [*g.generators, (v, ALL)]))
+
+    def test_fresh_groups_build_no_lattice_from_fractions(self, monkeypatch):
+        fresh = corpus_groups()
+
+        def refuse(vectors, ambient_dim):
+            raise AssertionError("RationalLattice.from_generators called")
+
+        monkeypatch.setattr(RationalLattice, "from_generators", staticmethod(refuse))
+        for g in fresh:
+            assert g.lattice_hull.rank == g.rank
+            for key in (*g.tagged_primes, None):
+                g.local(key).map
 
 
 class TestCompare:
@@ -803,7 +854,7 @@ class TestSaturation:
         g = group_rep(2, [((1, 0), (2,)), ((0, 1), (2,)), ((F(1, 3), F(1, 3)), ())])
         assert g.local(2).map.columns == ()
         diagonal = vec((F(1, 3), F(1, 3)))
-        assert groups._saturation(g, [diagonal], 2) == []
+        assert groups._saturation(g, [integer_form(diagonal)], 2) == []
         assert purify(g, line(2, (1, 1))).generators == ((diagonal, prime_set([2])),)
 
     def test_builds_only_its_result(self, monkeypatch):

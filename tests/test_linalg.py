@@ -385,6 +385,36 @@ class TestRationalLattice:
         with pytest.raises(ValueError):
             RationalLattice.from_generators([], 2).coordinates(vec([0]))
 
+    @given(st.lists(vectors(3), min_size=1, max_size=4), st.data())
+    @settings(max_examples=150)
+    def test_canonical_under_changes_of_generators(self, gens, data):
+        gens = [vec(v) for v in gens]
+        k = len(gens)
+        # shuffle, negate, mix by elementary row operations, add redundant sums
+        other = list(data.draw(st.permutations(gens)))
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+        other = [tuple(c * e for e in v) for c, v in zip(signs, other)]
+        steps = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(-3, 3))
+        for i, j, c in data.draw(st.lists(steps, max_size=6)):
+            if i != j:
+                other[i] = tuple(a + c * b for a, b in zip(other[i], other[j]))
+        for coeffs in data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), max_size=2)):
+            other.append(tuple(sum(c * v[j] for c, v in zip(coeffs, gens)) for j in range(3)))
+        lattice = RationalLattice.from_generators(gens, 3)
+        mixed = RationalLattice.from_generators(other, 3)
+        assert mixed == lattice and hash(mixed) == hash(lattice)
+        # integer forms over any common scale give the same lattice
+        m = data.draw(st.integers(1, 12))
+        scaled = [(tuple(e * m for e in y), d * m) for y, d in map(integer_form, other)]
+        assert RationalLattice.from_integer_forms(scaled, 3) == lattice
+        assert math.gcd(lattice.denominator, *(e for r in lattice.numerators for e in r)) == 1
+        assert lattice.rows == fraction_hermite_rows(gens, 3)
+
+    def test_zero_lattice(self):
+        zero = RationalLattice.from_generators([vec([0, 0])], 2)
+        assert zero == RationalLattice.from_integer_forms((), 2)
+        assert (zero.numerators, zero.denominator, zero.rows) == ((), 1, ())
+
     @given(st.lists(vectors(2, max_num=2, max_den=4), min_size=1, max_size=3))
     @settings(max_examples=60)
     def test_generators_are_members(self, vs):
@@ -470,6 +500,16 @@ class TestCoordinateMap:
         assert integer_form((0, 0)) == ((0, 0), 1)
 
 
+def fraction_hermite_rows(vectors, n):
+    """Reference: the Hermite basis of s * L over the lcm s of the generators'
+    denominators, each entry divided back by s, as Fraction rows."""
+    gens = [vec(v) for v in vectors]
+    s = math.lcm(*[e.denominator for g in gens for e in g])
+    work = [[int(e * s) for e in g] for g in gens]
+    rank = hermite_eliminate(work, n)
+    return tuple(tuple(Fraction(e, s) for e in r) for r in work[:rank])
+
+
 def fraction_coordinate_map(space, lattice):
     """Reference: reduce each unit vector modulo W in Fractions, then substitute
     along the lattice's HNF pivots; the columns are the coordinates and the
@@ -493,7 +533,7 @@ def fraction_coordinate_map(space, lattice):
 def fraction_intersect(lat, space):
     """Reference: the kernel of the Fraction residuals, scaled to integers."""
     if not lat.rows or space.is_zero():
-        return RationalLattice(lat.ambient_dim, ())
+        return RationalLattice.from_generators([], lat.ambient_dim)
     constraints = [space.reduce(r) for r in lat.rows]
     scale = math.lcm(*[e.denominator for r in constraints for e in r])
     kernel = integer_kernel([[int(e * scale) for e in r] for r in constraints])

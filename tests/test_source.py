@@ -125,6 +125,36 @@ def test_only_known_modules_substitute(path):
     assert read == (SUBSTITUTION if path.name in MAY_SUBSTITUTE else set())
 
 
+def constructor_calls(source: str, cls: str) -> int:
+    """How many calls the source makes to cls itself, as cls(...) or mod.cls(...)."""
+    return sum(
+        1
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == cls
+            or isinstance(node.func, ast.Attribute) and node.func.attr == cls
+        )
+    )
+
+
+def test_detects_lattice_constructor_calls():
+    source = (
+        "RationalLattice(2, (), 1)\n"
+        "linalg.RationalLattice(2, (), 1)\n"
+        "RationalLattice.from_integer_forms((), 2)\n"
+    )
+    assert constructor_calls(source, "RationalLattice") == 2
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_linalg_constructs_lattices(path):
+    # every lattice comes reduced from RationalLattice.from_integer_forms,
+    # so equal lattices stay equal as objects
+    if path.name != "linalg.py":
+        assert constructor_calls(path.read_text(encoding="utf-8"), "RationalLattice") == 0
+
+
 def private_members(source: str, cls: str) -> set[str]:
     """The _-prefixed, non-dunder members of class cls: the names bound in its
     body and the names it sets with object.__setattr__."""
