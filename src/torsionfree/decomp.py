@@ -46,15 +46,15 @@ from .groups import (
     compare,
     element_type,
     group_rep,
+    maps_into,
     pure_sum_kind,
     purify,
-    subgroup_leq,
+    span_transport,
 )
 from .linalg import (
     Mat,
     Subspace,
     Vec,
-    apply_matrix,
     integer_form,
     mat,
     mat_inverse,
@@ -509,33 +509,30 @@ def _summand_iso(s: GroupRep, t: GroupRep):
     return None
 
 
+def _transported(image, v: Vec) -> Vec:
+    z, e = image(*integer_form(v))
+    return tuple(Fraction(c, e) for c in z)
+
+
 def span_matrix_image(g: GroupRep, m: Mat, v: Vec) -> Vec:
     """Image of v under the rank x rank matrix m acting on g's lattice-hull coordinates."""
-    hull = g.lattice_hull
-    coords = hull.coordinates(v)
-    if coords is None:
-        raise GroupError("vector outside the group's span")
-    return apply_matrix(apply_matrix(coords, m), hull.rows) if hull.rows else v
+    return _transported(span_transport(g, mat(m)), v)
 
 
 def apply_span_matrix(g: GroupRep, m: Mat, group: GroupRep | None = None) -> GroupRep:
     """Transport group (default g) by m acting on g's lattice-hull coordinates."""
-    rank = g.lattice_hull.rank
-    m = mat(m)
-    if len(m) != rank or any(len(row) != rank for row in m):
-        raise ValueError("matrix size must equal the group rank")
+    image = span_transport(g, mat(m))
     if group is None:
         group = g
-    return group_rep(g.ambient_dim, [(span_matrix_image(g, m, v), s) for v, s in group.generators])
+    return group_rep(g.ambient_dim, [(_transported(image, v), s) for v, s in group.generators])
 
 
 def automorphism_check(g: GroupRep, m: Mat) -> bool:
-    """Whether the span matrix maps g onto g (checked in both directions)."""
+    """Whether the span matrix maps g onto g: m and its inverse both map g
+    into g, tested in g's own maps (``groups.maps_into``)."""
     m = mat(m)
     minv = mat_inverse(m)
-    if not subgroup_leq(apply_span_matrix(g, m), g):
-        return False
-    return subgroup_leq(apply_span_matrix(g, minv), g)
+    return maps_into(g, m) and maps_into(g, minv)
 
 
 def automorphism_from_summand_isos(

@@ -30,7 +30,10 @@ rational arithmetic and no factoring.
 Finite quotients read the same maps as membership: the p-part of G/A is the
 Smith form of the coordinates of A's hull rows in G's map at p, and the
 image of an element is its coordinates in that map.  Quasi-equality
-(``quasi``) and minimal multipliers (``order_mod``) read the maps too.
+(``quasi``) and minimal multipliers (``order_mod``) read the maps too, and
+so does ``maps_into``, which tests M*H <= G for a matrix M on the hull
+coordinates: each generator of H goes through the integer hull transport
+(``span_transport``) and its image is tested as a rank-1 piece of G.
 
 So does purification.  The pure subgroup H = U ∩ G of a subspace U starts
 from the lattice hull inside U, the lifts into U of L ∩ π(U) (π reducing
@@ -57,6 +60,7 @@ from math import gcd, lcm, prod
 
 from .linalg import (
     CoordinateMap,
+    IMat,
     Mat,
     RationalLattice,
     Subspace,
@@ -65,6 +69,7 @@ from .linalg import (
     direct_sum_projections,
     hermite_basis,
     hermite_eliminate,
+    identity_matrix,
     integer_form,
     integer_kernel,
     is_zero_vec,
@@ -342,18 +347,23 @@ def _divisible_along(g: GroupRep, y: tuple[int, ...], s: PrimeSet) -> bool:
     return all(not any(g.local(p).map.numerators(y)) for p in keys)
 
 
-def _piece_contained(g: GroupRep, v: Vec, s: PrimeSet) -> bool:
-    """Whether the rank-1 module Z[S^-1]*v is contained in G: v lies in G and,
-    for each p in S, in W_p, the directions of infinite p-height."""
-    y, d = integer_form(v)
-    return _member_scaled(g, y, d) and _divisible_along(g, y, s)
+def _pieces_contained(g: GroupRep, pieces) -> bool:
+    """Whether every rank-1 module Z[S^-1]*(y/d), given as ((y, d), S), is
+    contained in G: y/d lies in G and, for each p in S, in W_p, the
+    directions of infinite p-height.  Stops at the first piece outside G."""
+    return all(_member_scaled(g, y, d) and _divisible_along(g, y, s) for (y, d), s in pieces)
+
+
+def _pieces(h: GroupRep):
+    """H's generators as (integer form, prime set) pairs."""
+    return zip(h._integer_generators, (s for _v, s in h.generators))
 
 
 def subgroup_leq(h: GroupRep, g: GroupRep) -> bool:
     """Whether H <= G."""
     if h.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return all(_piece_contained(g, v, s) for v, s in h.generators)
+    return _pieces_contained(g, _pieces(h))
 
 
 def compare(g: GroupRep, h: GroupRep) -> Compare:
@@ -366,6 +376,59 @@ def compare(g: GroupRep, h: GroupRep) -> Compare:
     if ge:
         return Compare.RIGHT_IN_LEFT
     return Compare.INCOMPARABLE
+
+
+# ---------------------------------------------------------------------------
+# Linear images: maps acting on the lattice-hull coordinates
+# ---------------------------------------------------------------------------
+
+
+def span_transport(g: GroupRep, m: Mat):
+    """The image map of m, a rank x rank matrix acting on g's lattice-hull
+    coordinates, in integers: a function sending (y, d), for x = y/d in [G],
+    to (z, e) with z/e the image of x.
+
+    With C the hull's coordinate map, m = M/t and the hull rows N/s, x's hull
+    coordinates are C's numerators of y over d * C.scale, so the image is
+    numerators(y) * M * N over d * C.scale * t * s.  Raises GroupError for a
+    vector outside [G].
+    """
+    hull = g.lattice_hull
+    rank, n = hull.rank, g.ambient_dim
+    if len(m) != rank or any(len(row) != rank for row in m):
+        raise ValueError("matrix size must equal the group rank")
+    flat, t = integer_form([e for row in m for e in row])
+    # the rows of M * N
+    rows = [
+        [sum(flat[i * rank + k] * hull.numerators[k][j] for k in range(rank)) for j in range(n)]
+        for i in range(rank)
+    ]
+    coords = hull.coordinate_map
+    scale = coords.scale * t * hull.denominator
+
+    def image(y, d: int) -> tuple[list[int], int]:
+        if len(y) != n:
+            raise ValueError("dimension mismatch")
+        if not coords.in_span(y):
+            raise GroupError("vector outside the group's span")
+        z = [0] * n
+        for c, row in zip(coords.numerators(y), rows):
+            if c:
+                z = [a + c * b for a, b in zip(z, row)]
+        return z, d * scale
+
+    return image
+
+
+def maps_into(g: GroupRep, m: Mat, group: GroupRep | None = None) -> bool:
+    """Whether m * H <= G, for H = group (default g) inside [G] and m acting
+    on g's lattice-hull coordinates.  Each generator's image is tested as a
+    rank-1 piece in g's own maps, in integers; no group is built."""
+    h = g if group is None else group
+    if h.ambient_dim != g.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    image = span_transport(g, m)
+    return _pieces_contained(g, ((image(y, d), s) for (y, d), s in _pieces(h)))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +754,9 @@ def divisible_part(g: GroupRep, p) -> GroupRep:
         return result
     p = int(p)
     result = purify(g, g.divisible_directions(p))
-    if compare(result, scale_group(result, p)) != Compare.EQUAL:
+    # p*R <= R always, so p*R = R iff (1/p)*R <= R
+    inverse = tuple(vscale(Fraction(1, p), row) for row in identity_matrix(result.rank))
+    if not maps_into(result, inverse):
         raise RuntimeError("divisible part is not p-divisible (internal error)")
     return result
 
@@ -769,23 +834,27 @@ class FiniteQuotient:
         invariant_factors: ascending (d_1 | d_2 | ... | d_k), each >= 2.
         exponent: d_k, or 1 for the trivial quotient.
         order: product of the invariant factors.
-        generator_images: images of G's generators modulo the factors.
+        generator_images: images of G's generators modulo the factors,
+            computed when first read.
     """
 
     def __init__(self, g: GroupRep, a: GroupRep, parts):
         self.group = g
         self.subgroup = a
-        # parts: list of (p, [(exp, basis_index)...], V, sections) with
-        # exponents sorted descending within each prime; see _quotient_parts_at.
+        # parts: list of (p, [(exp, basis_index)...], V) with exponents
+        # sorted descending within each prime; see _quotient_parts_at.
         self._parts = parts
-        depth = max((len(exps) for _p, exps, *_rest in parts), default=0)
+        depth = max((len(exps) for _p, exps, _v in parts), default=0)
         descending = [
-            prod(p ** exps[j][0] for p, exps, *_rest in parts if j < len(exps)) for j in range(depth)
+            prod(p ** exps[j][0] for p, exps, _v in parts if j < len(exps)) for j in range(depth)
         ]
         self.invariant_factors = tuple(reversed(descending))
         self.exponent = self.invariant_factors[-1] if self.invariant_factors else 1
         self.order = prod(self.invariant_factors)
-        self.generator_images = tuple(self.image(v) for v, _s in g.generators)
+
+    @cached_property
+    def generator_images(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.image(v) for v, _s in self.group.generators)
 
     def image(self, x) -> tuple[int, ...]:
         """Image of x (an element of G) as a tuple modulo the invariant factors."""
@@ -794,7 +863,7 @@ class FiniteQuotient:
             raise ValueError("vector length mismatch")
         k = len(self.invariant_factors)
         per_prime: dict[int, list[int]] = {}
-        for p, exps, v, _sections in self._parts:
+        for p, exps, v in self._parts:
             local = self.group.local(p).map
             if not local.in_span(y):
                 raise GroupError("vector outside the group span")
@@ -812,7 +881,7 @@ class FiniteQuotient:
         for j in range(k):
             desc = k - 1 - j
             residue, modulus = 0, 1
-            for p, exps, *_rest in self._parts:
+            for p, exps, _v in self._parts:
                 if desc < len(exps):
                     pe = p ** exps[desc][0]
                     r = per_prime[p][desc]
@@ -824,7 +893,26 @@ class FiniteQuotient:
 
     def section_vectors(self) -> tuple[Vec, ...]:
         """Elements of G whose images generate the quotient."""
-        return tuple(s for *_rest, sections in self._parts for s in sections)
+        return self._sections
+
+    @cached_property
+    def _sections(self) -> tuple[Vec, ...]:
+        # G's lattice at a prime key has the Hermite basis B = T * (hull mod
+        # W_p), so the section of basis row i of V^-1 * B is row i of
+        # V^-1 * T * hull; the primes of one key share T and V
+        g = self.group
+        hull = g.lattice_hull.rows
+        per_key: dict[int | None, tuple[Mat, IMat]] = {}
+        sections = []
+        for p, exps, v in self._parts:
+            key = g.prime_key(p)
+            if key not in per_key:
+                w = g.divisible_directions(key)
+                _basis, transform = hermite_basis([w.reduce(r) for r in hull])
+                per_key[key] = mat_inverse(mat(v)), transform
+            v_inv, transform = per_key[key]
+            sections += [apply_matrix(apply_matrix(v_inv[i], transform), hull) for _e, i in exps]
+        return tuple(sections)
 
 
 @dataclass(frozen=True)
@@ -924,36 +1012,24 @@ def _coordinate_smith(local: CoordinateMap, lattice: RationalLattice):
 
 def _quotient_parts_at(g: GroupRep, a: GroupRep, key: int | None, primes):
     """The p-primary parts of G/A, for the primes p of one prime key of G:
-    exponents, a solving basis, and sections (parts with no exponent are left out).
+    exponents and a solving basis (parts with no exponent are left out).
 
     Works modulo W_p, in the basis B of G's lattice at p (``GroupRep.local``),
     where G's coordinate map at p reads off the coordinates of A's hull rows.
     That transition matrix is p-integral, and its Smith form U * M * V
     diagonalizes the quotient's p-part in the basis V^-1 * B.  Coordinates c
-    in B become c * V in that basis.  The sections are elements of G's
-    lattice hull realizing the cyclic summands.
+    in B become c * V in that basis.
     """
     local = g.local(key).map
     if not local.columns:
         return []
     denom, d, v = _coordinate_smith(local, a.lattice_hull)
-    transform = None
     parts = []
     for p in primes:
         if denom % p == 0:
             raise RuntimeError("p-local transition has p in a denominator")
         exps = [(valuation(di, p), i) for i, di in enumerate(d) if di % p == 0]
-        if not exps:
-            continue
-        exps.sort(key=lambda t: -t[0])
-        if transform is None:
-            # B is the Hermite basis T * (hull mod W_p), so the section of
-            # basis row i of V^-1 * B is row i of V^-1 * T * hull
-            w, hull = g.divisible_directions(key), g.lattice_hull.rows
-            _basis, transform = hermite_basis([w.reduce(r) for r in hull])
-            v_inv = mat_inverse(mat(v))
-        sections = tuple(
-            apply_matrix(apply_matrix(v_inv[i], transform), hull) for _e, i in exps
-        )
-        parts.append((p, exps, v, sections))
+        if exps:
+            exps.sort(key=lambda t: -t[0])
+            parts.append((p, exps, v))
     return parts

@@ -38,10 +38,10 @@ from .groups import (
     Compare,
     element_type,
     index_and_quotient,
+    maps_into,
     pure_sum,
     pure_sum_kind,
     purify,
-    subgroup_leq,
 )
 from .linalg import Mat, Subspace, Vec, hermite_eliminate, mat
 from .indec import typeset_obstruction_certificate
@@ -207,10 +207,9 @@ def regulating_search(g: GroupRep, height_bound: int = 2):
     The candidate summands are the pure hulls of every line spanned by an
     integer combination of generators with coefficients up to height_bound;
     the family is exhaustive for that scope by construction.  Returns
-    (best basis, index).
+    (best basis, index).  The zero group's one family is the empty one, a
+    Jonsson basis of index 1.
     """
-    if g.rank == 0:
-        raise GroupError("the zero group has no rank-1 summand family")
     # each line lies in [G]; its pure hull is built only once a combination
     # of finite index needs it
     table = SpanTable(g.ambient_dim)
@@ -289,7 +288,7 @@ def kernel_check(g: GroupRep, a: JonssonBasis, alpha: Mat) -> bool:
         tuple((alpha[i][j] - (1 if i == j else 0)) / n for j in range(rank))
         for i in range(rank)
     )
-    return subgroup_leq(apply_span_matrix(g, beta), g)
+    return maps_into(g, beta)
 
 
 def unrefinable_quotient_decompositions(g: GroupRep, a: JonssonBasis):

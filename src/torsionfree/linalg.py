@@ -608,7 +608,8 @@ class RationalLattice:
         return tuple(next(j for j, e in enumerate(r) if e) for r in self.numerators)
 
     @cached_property
-    def _map(self) -> "CoordinateMap":
+    def coordinate_map(self) -> "CoordinateMap":
+        """The integer map of coordinates in the basis rows (modulo the zero subspace)."""
         return CoordinateMap.build(Subspace(self.ambient_dim, (), ()), self)
 
     def coordinates(self, x: Vec) -> Vec | None:
@@ -616,9 +617,10 @@ class RationalLattice:
         if len(x) != self.ambient_dim:
             raise ValueError("dimension mismatch")
         y, d = integer_form(x)
-        if not self._map.in_span(y):
+        cmap = self.coordinate_map
+        if not cmap.in_span(y):
             return None
-        return tuple(Fraction(e, d * self._map.scale) for e in self._map.numerators(y))
+        return tuple(Fraction(e, d * cmap.scale) for e in cmap.numerators(y))
 
     def intersect_subspace(self, space: Subspace) -> "RationalLattice":
         """The sublattice of vectors lying in the given subspace."""

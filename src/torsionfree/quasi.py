@@ -2,11 +2,15 @@
 
 Two groups with the same rational span are commensurable when each scales
 into the other by a positive integer.  The least such pair (a, b), with
-a*H <= G and b*G <= H, is the pair of quotient exponents of (G+H)/G and
-(G+H)/H, because d*H <= G exactly when d kills (G+H)/G.  The groups are
-strictly quasi-equal when a single rational r makes r*H literally equal to
-G.  Neither answer is a bounded search, so a None answer is a definite
-"no", not a scope limit.
+a*H <= G and b*G <= H, is read one generator at a time: a*H <= G exactly
+when a*Z[S^-1]*v <= G for every generator (v, S) of H, which needs v in
+W_p(G) for every p in S (``_divisible_along``) and then a*v in G.  So a is
+the lcm over H's generators of the least multiplier ``order_mod(g, v)``,
+and there is none when some generator is not divisible along G's W_p.  b
+is the same with the roles swapped.  No sum group is built and nothing is
+factored.  The groups are strictly quasi-equal when a single rational r
+makes r*H literally equal to G.  Neither answer is a bounded search, so a
+None answer is a definite "no", not a scope limit.
 
 The strict witness is pinned down prime by prime: if r*H = G then, locally
 at p, the coordinate matrix of G's reduced lattice in H's (read off H's
@@ -14,30 +18,31 @@ coordinate map at p) must have all its elementary divisors at the same
 p-valuation, and that common valuation is v_p(r).  Scanning the prime keys
 (every tagged prime, and None for the untagged primes, which share one
 lattice) either forces a unique candidate or proves none exists.  The
-candidate is then re-verified with compare, so the answer never rests on the
-derivation alone.
+candidate is then re-verified, so the answer never rests on the derivation
+alone: r*H <= G and (1/r)*G <= H are each tested piece by piece in the
+other group's maps, which builds no group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .bases import BasisRecord, require_basis
 from .decomp import DecompositionRecord, PartitionRecord, apply_span_matrix, automorphism_check, decomposition_record
 from .groups import (
-    Compare,
     GroupRep,
     QuotientDescription,
     SplitKind,
     _coordinate_smith,
-    compare,
+    _divisible_along,
+    _pieces_contained,
     index_and_quotient,
+    order_mod,
     pure_sum,
-    scale_group,
-    sum_groups,
 )
-from .linalg import Mat, mat, mat_inverse
+from .linalg import Mat, integer_form, mat, mat_inverse
 from .numutil import strip_primes, valuation
 
 
@@ -86,30 +91,50 @@ def quasi_equal_strict(h: GroupRep, g: GroupRep) -> QuasiWitness | None:
                 return None
             r *= Fraction(p) ** vals.pop()
 
-    if r > 0 and compare(scale_group(h, r), g) is Compare.EQUAL:
+    if r > 0 and _scaled_into(g, h, r) and _scaled_into(h, g, 1 / r):
         return QuasiWitness(ratio=r)
     return None
+
+
+def _scaled_into(g: GroupRep, h: GroupRep, r: Fraction) -> bool:
+    """Whether r*H <= G, for r > 0: each piece of r*H tested in G's maps.
+
+    ``maps_into`` with a scalar matrix gives the same answer, but goes
+    through G's hull coordinates, which a scalar does not need.
+    """
+    a, b = r.numerator, r.denominator
+    forms = ((integer_form(v), s) for v, s in h.generators)
+    return _pieces_contained(g, ((([a * e for e in y], b * d), s) for (y, d), s in forms))
 
 
 def commensurable(h: GroupRep, g: GroupRep) -> QuasiWitness | None:
     """Minimal (a, b) with a*H <= G and b*G <= H, or None.
 
-    Present exactly when the two groups share a span and each has finite
-    index in their sum.  Since d*H <= G iff d kills (G+H)/G, a is the
-    exponent of that quotient, and b likewise the exponent of (G+H)/H.
+    Present exactly when the two groups share a span and each scales into
+    the other; each side is read per generator (see the module docstring).
     """
     if h.ambient_dim != g.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if h.span != g.span:
         return None
-    total = sum_groups(h, g)
-    into_g = index_and_quotient(total, g)
-    if not into_g.is_finite:
+    a = _least_multiplier(h, g)
+    if a is None:
         return None
-    into_h = index_and_quotient(total, h)
-    if not into_h.is_finite:
+    b = _least_multiplier(g, h)
+    if b is None:
         return None
-    return QuasiWitness(pair=(into_g.quotient.exponent, into_h.quotient.exponent))
+    return QuasiWitness(pair=(a, b))
+
+
+def _least_multiplier(h: GroupRep, g: GroupRep) -> int | None:
+    """Least a >= 1 with a*H <= G, for H inside [G], or None when there is none."""
+    a = 1
+    for v, s in h.generators:
+        y, d = integer_form(v)
+        if not _divisible_along(g, y, s):
+            return None
+        a = lcm(a, order_mod(g, y, d))
+    return a
 
 
 def quasi_automorphism_check(g: GroupRep, m: Mat) -> tuple[Fraction, Mat] | None:

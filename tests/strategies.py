@@ -59,3 +59,21 @@ def integer_matrices(rows: int, cols: int, bound: int = 5):
         min_size=rows,
         max_size=rows,
     )
+
+
+@st.composite
+def unimodular_matrices(draw, n: int, steps: int = 4):
+    """Integer n x n matrices of determinant +-1: the identity under random
+    row additions, swaps and negations."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=steps)) if n > 1 else 0):
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        op = draw(st.sampled_from(("add", "swap", "negate")))
+        if op == "add":
+            c = draw(st.integers(min_value=-2, max_value=2))
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        elif op == "swap":
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-a for a in m[i]]
+    return tuple(tuple(row) for row in m)

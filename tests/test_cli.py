@@ -209,6 +209,27 @@ class TestExitCodes:
         assert done.returncode == 0
         assert done.stdout == f"purified subgroup:\n  gen [1/{n}, 1] inv {{}}\n"
 
+    @pytest.mark.parametrize("n", [10**30 + 57, 1000000000039 * 1000000000061], ids=["prime", "semiprime"])
+    def test_commensurable_with_a_large_index_finishes(self, tmp_path, n):
+        # n*Z2 <= nZ + Z <= Z2: the pair is read from least multipliers, so
+        # neither a 31-digit prime nor a product of two 13-digit primes is factored
+        path = tmp_path / "z2.grp"
+        path.write_text("group Z ambient 2\ngen [1, 0] inv {}\ngen [0, 1] inv {}\n")
+        sub = tmp_path / "nz.grp"
+        sub.write_text(f"group N ambient 2\ngen [{n}, 0] inv {{}}\ngen [0, 1] inv {{}}\n")
+        done = run_cli(["commensurable", str(path), str(sub)], timeout=20)
+        assert done.returncode == 0
+        assert done.stdout == f"commensurable: (a, b) = ({n}, 1)\n"
+
+    def test_regulating_on_the_zero_group_is_the_empty_basis(self, tmp_path, capsys):
+        # the empty family is a Jonsson basis of the zero group, of index 1
+        path = tmp_path / "z.grp"
+        path.write_text("group z ambient 2\n")
+        assert main(["regulating", str(path), "--height", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("index: 1\nexhaustive: true (height 1)\n")
+        assert "summand" not in out
+
     def test_si_search_without_evidence_is_two(self, capsys):
         # free groups of rank one: no proper partition, no rank-2 certificate
         path = DATA / "g1.grp"

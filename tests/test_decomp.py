@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import group_reps, nonzero_group_reps
+from strategies import group_reps, nonzero_group_reps, prime_sets, small_fractions, unimodular_matrices
 from torsionfree.bases import basis_record
 from torsionfree.decomp import (
     IsoVerdict,
@@ -28,6 +28,7 @@ from torsionfree.decomp import (
     finest_grouping,
     partition_record,
     set_partitions,
+    span_matrix_image,
 )
 from torsionfree.cli import main
 from torsionfree.corpus import PROFILES, generate
@@ -37,14 +38,16 @@ from torsionfree.groups import (
     SplitKind,
     compare,
     group_rep,
+    maps_into,
     member,
     pure_sum_kind,
     purify,
+    subgroup_leq,
     sum_groups,
 )
 from torsionfree.indec import property_si_check
 from torsionfree.jonsson import jonsson_basis_from_summands, splitting_decompositions_of
-from torsionfree.linalg import Subspace, identity_matrix, vec
+from torsionfree.linalg import Subspace, apply_matrix, identity_matrix, mat, vec, vscale
 from test_pure_sum_kind import G4, random_bases
 
 
@@ -588,6 +591,44 @@ class TestAutomorphisms:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             apply_span_matrix(G3(), ((1,),))
+
+
+def fraction_span_image(g, m, v):
+    """The Fraction transport: v's hull coordinates, times m, times the hull rows."""
+    hull = g.lattice_hull
+    return apply_matrix(apply_matrix(hull.coordinates(v), m), hull.rows)
+
+
+@st.composite
+def transports(draw):
+    """(g, m, h): a group, a rational or unimodular span matrix, and a group
+    inside [G] (g itself, or g's generators rescaled with new prime sets)."""
+    g = draw(st.sampled_from((2, 3)).flatmap(lambda n: nonzero_group_reps(n)))
+    n = g.rank
+    rational = st.lists(st.lists(small_fractions(), min_size=n, max_size=n), min_size=n, max_size=n)
+    m = mat(draw(st.one_of(unimodular_matrices(n), rational)))
+    h = g
+    if draw(st.booleans()):
+        h = group_rep(
+            g.ambient_dim,
+            [(vscale(draw(small_fractions()) or 1, v), draw(prime_sets())) for v, _s in g.generators],
+        )
+    return g, m, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(transports())
+def test_maps_into_is_containment_of_the_transported_group(case):
+    g, m, h = case
+    for v, _s in h.generators:
+        assert span_matrix_image(g, m, v) == fraction_span_image(g, m, v)
+    assert maps_into(g, m, h) == subgroup_leq(apply_span_matrix(g, m, h), g)
+
+
+def test_maps_into_rejects_a_vector_outside_the_span():
+    line = group_rep(2, [((1, 0), ())])
+    with pytest.raises(GroupError):
+        maps_into(line, ((1,),), Z2())
 
 
 @settings(max_examples=50, deadline=None)

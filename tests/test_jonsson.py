@@ -236,9 +236,9 @@ class TestRegulating:
         with pytest.raises(GroupError):
             regulating_search(G2(), 1)
 
-    def test_zero_rank_rejected(self):
-        with pytest.raises(GroupError):
-            regulating_search(group_rep(2, []), 1)
+    def test_zero_rank_gives_the_empty_basis(self):
+        best, index = regulating_search(group_rep(2, []), 1)
+        assert index == 1 and best.summands == ()
 
 
 class TestInducedMap:

@@ -240,7 +240,8 @@ def refuse(*_args, **_kwargs):
 class TestSearchesUseTheVerdict:
     def test_splitting_check_never_compares_groups(self, monkeypatch):
         monkeypatch.setattr(groups, "subgroup_leq", refuse)
-        monkeypatch.setattr(decomp, "subgroup_leq", refuse)
+        # decomp no longer imports the name; patch it anyway, so a new import is caught
+        monkeypatch.setattr(decomp, "subgroup_leq", refuse, raising=False)
         g = generate("cd", 1, max_rank=3).group
         assert complete_decomposition_search(g, height_bound=1)
         _ids, basis = next(_generated_bases(G3(), 1, SpanTable(2)))

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import nonzero_group_reps, small_fractions
+from strategies import nonzero_group_reps, prime_sets, small_fractions, unimodular_matrices
 from torsionfree.bases import basis_record
-from torsionfree.decomp import partition_record
+from torsionfree.decomp import apply_span_matrix, automorphism_check, partition_record
 from torsionfree.groups import (
     Compare,
+    GroupRep,
+    _coordinate_smith,
     compare,
     group_rep,
     index_and_quotient,
@@ -17,8 +19,9 @@ from torsionfree.groups import (
     subgroup_leq,
     sum_groups,
 )
-from torsionfree.linalg import Subspace, identity_matrix, vec, vscale
-from torsionfree.numutil import divisors
+from torsionfree.linalg import Subspace, identity_matrix, mat, vec, vscale
+from torsionfree.jonsson import jonsson_basis_from_summands, kernel_check
+from torsionfree.numutil import divisors, strip_primes, valuation
 from torsionfree.quasi import (
     SplitKind,
     commensurable,
@@ -224,3 +227,109 @@ def test_strict_symmetry(g):
     assert w is not None and back is not None
     assert compare(scale_group(h, w.ratio), g) is Compare.EQUAL
     assert compare(scale_group(g, back.ratio), h) is Compare.EQUAL
+
+
+def sum_route_commensurable(h, g):
+    """The pair read from the exponents of (G+H)/G and (G+H)/H."""
+    if h.span != g.span:
+        return None
+    total = sum_groups(h, g)
+    into_g = index_and_quotient(total, g)
+    if not into_g.is_finite:
+        return None
+    into_h = index_and_quotient(total, h)
+    if not into_h.is_finite:
+        return None
+    return into_g.quotient.exponent, into_h.quotient.exponent
+
+
+def scaled_group_quasi_equal_strict(h, g):
+    """The strict witness, re-verified by building r*H and comparing it with G."""
+    if h.span != g.span:
+        return None
+    tagged = sorted(set(h.tagged_primes) | set(g.tagged_primes))
+    keys = (*tagged, None)
+    if any(h.divisible_directions(p) != g.divisible_directions(p) for p in keys):
+        return None
+    if h.rank == 0:
+        return F(1)
+    r = F(1)
+    for p in keys:
+        sigma, factors, _v = _coordinate_smith(h.local(p).map, g.local(p).lattice)
+        if not factors:
+            continue
+        if p is None:
+            parts = {strip_primes(d, tagged) for d in factors}
+            if len(parts) != 1:
+                return None
+            r *= F(parts.pop(), strip_primes(sigma, tagged))
+        else:
+            vals = {valuation(F(d, sigma), p) for d in factors}
+            if len(vals) != 1:
+                return None
+            r *= F(p) ** vals.pop()
+    if r > 0 and compare(scale_group(h, r), g) is Compare.EQUAL:
+        return r
+    return None
+
+
+@st.composite
+def same_span_pairs(draw):
+    """(h, g) with one span: g scaled, transported by a unimodular span
+    matrix, or with its generators rescaled, given new prime sets (ALL
+    among them) and perhaps a coset generator."""
+    g = draw(st.sampled_from((2, 3)).flatmap(lambda n: nonzero_group_reps(n)))
+    kind = draw(st.sampled_from(("scale", "transport", "rescale")))
+    if kind == "scale":
+        return scale_group(g, draw(_RATIOS)), g
+    if kind == "transport":
+        return apply_span_matrix(g, draw(unimodular_matrices(g.rank))), g
+    gens = [
+        (vscale(draw(small_fractions()) or 1, v), s if draw(st.booleans()) else draw(prime_sets()))
+        for v, s in g.generators
+    ]
+    if draw(st.booleans()):
+        coeffs = [draw(small_fractions()) for _ in g.generators]
+        coset = tuple(sum(c * e for c, e in zip(coeffs, col)) for col in zip(*(v for v, _s in g.generators)))
+        gens.append((coset, draw(prime_sets())))
+    return group_rep(g.ambient_dim, gens), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_span_pairs())
+def test_commensurable_equals_the_sum_group_route(pair):
+    h, g = pair
+    for a, b in ((h, g), (g, h)):
+        w = commensurable(a, b)
+        assert (None if w is None else w.pair) == sum_route_commensurable(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_span_pairs())
+def test_strict_equals_the_scaled_group_verification(pair):
+    h, g = pair
+    for a, b in ((h, g), (g, h)):
+        w = quasi_equal_strict(a, b)
+        assert (None if w is None else w.ratio) == scaled_group_quasi_equal_strict(a, b)
+
+
+def test_the_answers_build_no_group(monkeypatch):
+    # every input is built first; then no GroupRep may be constructed
+    zz, half = half_pair()
+    g, g1 = G3(), G1()
+    scaled = scale_group(g, F(1, 2))
+    axes = [group_rep(2, [((1, 0), (3,))]), group_rep(2, [((0, 1), (5,))])]
+    basis = jonsson_basis_from_summands(g, axes)
+    swap = mat(((0, 1), (1, 0)))
+
+    def refuse(self):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(GroupRep, "__post_init__", refuse)
+    assert automorphism_check(zz, swap)
+    assert not automorphism_check(g, swap)
+    assert kernel_check(g, basis, identity_matrix(2))
+    assert quasi_equal_strict(scaled, g).ratio == 2
+    assert quasi_equal_strict(zz, half) is None
+    assert commensurable(zz, half).pair == (1, 2)
+    assert commensurable(g1, zz) is None
