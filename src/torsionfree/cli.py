@@ -431,10 +431,14 @@ def _jonsson_lines(basis):
     q = basis.quotient
     lines.append(f"index: {q.order}")
     lines.append(f"quotient: {_quotient_str(q)}")
-    lines.append(
-        "generator images: " + "; ".join(_vec_str(t) for t in q.generator_images)
-    )
+    lines.append(_images_line(q))
     return lines
+
+
+def _images_line(q):
+    """The quotient's generator images; the zero group has none."""
+    images = "; ".join(_vec_str(t) for t in q.generator_images)
+    return "generator images: " + (images or "none")
 
 
 def _j_jonsson(basis):
@@ -508,7 +512,7 @@ def _cmd_quotient(args):
         _quotient_str(q),
         f"order: {q.order}",
         f"exponent: {q.exponent}",
-        "generator images: " + "; ".join(_vec_str(t) for t in q.generator_images),
+        _images_line(q),
     ]
     return 0, lines, {"quotient": _j_description(d)}
 
@@ -569,7 +573,9 @@ def _cmd_si_search(args):
         }
         return 0, lines, payload
     payload["certificate"] = None
-    return 2, lines, payload
+    # a quasi-decomposition needs two summands of rank >= 1, so a group of
+    # rank at most 1 has none at any height
+    return (2 if g.rank > 1 else 0), lines, payload
 
 
 # -- verify ---------------------------------------------------------------------

@@ -45,6 +45,16 @@ on U modulo U ∩ W_p, so it sees the p-local part of every group between the
 seed and H exactly.  At p, the vectors (sum c_i h_i)/p that lie in G come
 from the kernel of the current generators' coordinates mod p, and those
 already in the current group from the coordinates' integer relations.
+Only saturations that can change the result run, and each skip is exact:
+  - a tagged prime p with U ⊆ W_p is skipped: U's coordinates at p vanish,
+    so r = dim U - dim(U ∩ W_p) is 0 and every kernel vector is a relation;
+  - a prime whose saturation adjoins nothing is retired: a vector adjoined
+    at q != p lies in (1/q)*C, so C's localization at p, its Hermite row
+    count and r stay the same, and so does the kernel's dimension mod p;
+  - the relations of m coordinate rows of rank r span a saturated lattice
+    of rank m - r, independent mod p, so a kernel mod p of that dimension
+    adjoins nothing and no integer kernel is computed.
+U ⊆ [G] needs no intersection with [G].
 Pruning (``simplify_presentation``) drops a generator when the others still
 give H's W_p and lattice at every prime key, read in the same maps.
 ``purify`` builds one group: its result.
@@ -480,7 +490,7 @@ def _fp_extend(basis: list[tuple[int, list[int]]], c, p: int) -> bool:
     return True
 
 
-def _saturation(g: GroupRep, forms, p: int) -> list[tuple[list[int], int]]:
+def _saturation(g: GroupRep, forms, p: int, rank: int) -> list[tuple[list[int], int]]:
     """The vectors z = (sum c_i g_i)/p that saturating C at p adjoins, as
     (integer row, denominator) pairs.
 
@@ -492,6 +502,12 @@ def _saturation(g: GroupRep, forms, p: int) -> list[tuple[list[int], int]]:
     c is, mod p, an integer relation among the coordinates plus a
     combination of the c already taken.  Such c are skipped; the others are
     taken.
+
+    ``rank`` is r = dim U - dim(U ∩ W_p), the rank of the coordinates.  The
+    integer relations among m coordinate rows of rank r form a saturated
+    lattice of rank m - r, so they stay independent mod p and lie in the
+    kernel mod p.  A kernel of dimension m - r is spanned by them, and then
+    nothing is adjoined and no integer kernel is computed.
     """
     local = g.local(p).map
     coords = []
@@ -505,7 +521,7 @@ def _saturation(g: GroupRep, forms, p: int) -> list[tuple[list[int], int]]:
     pe = p ** valuation(den, p)
     unit = pow(den // pe, -1, p)
     kernel = _fp_left_kernel([[n // pe * unit % p for n in r] for r in rows], p, len(forms))
-    if not kernel:
+    if len(kernel) == len(forms) - rank:
         return []
     taken: list[tuple[int, list[int]]] = []
     for relation in integer_kernel(rows):
@@ -618,7 +634,7 @@ def _pure_sum_kind(g: GroupRep, spaces: tuple[Subspace, ...]) -> SplitKind:
 
 
 def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
-    u = subspace.intersect(g.span)
+    u = subspace if g.span.contains_subspace(subspace) else subspace.intersect(g.span)
     if u.dim == 0:
         return zero_group(g.ambient_dim)
 
@@ -647,15 +663,20 @@ def _purify(g: GroupRep, subspace: Subspace) -> GroupRep:
             [*seed.forms, *map(integer_form, lifts)], g.ambient_dim
         )
 
+    # r_p = dim U - dim(U ∩ W_p); a prime with U ⊆ W_p (r_p = 0) never adjoins
+    ranks = {p: u.dim - g.meet(u, p).dim for p in g.tagged_primes}
+    active = [p for p in g.tagged_primes if ranks[p]]
     for _round in range(256):
-        changed = False
-        for p in g.tagged_primes:
+        for p in tuple(active):
             fixed = [form for inner, s in pieces if p not in s for form in inner.forms]
-            added = _saturation(g, [*lattice.forms, *fixed], p)
+            added = _saturation(g, [*lattice.forms, *fixed], p, ranks[p])
             if added:
                 lattice = RationalLattice.from_integer_forms([*lattice.forms, *added], g.ambient_dim)
-                changed = True
-        if not changed:
+            else:
+                # saturated at p for good: what later rounds adjoin at q != p
+                # lies in (1/q)*C and leaves C's localization at p alone
+                active.remove(p)
+        if not active:
             gens = [(row, NO_PRIMES) for row in lattice.rows]
             gens += [(row, s) for inner, s in pieces for row in inner.rows]
             return simplify_presentation(g, gens)
@@ -718,11 +739,15 @@ def _drop_test(g: GroupRep, gens: list[Generator]):
         )
 
     def can_drop(i: int, rest: list[int]) -> bool:
-        for key, rows, dim, rank, full in per_key:
+        # a conjunction over the keys, so its order is free: the rank counts at
+        # the keys that invert gens[i] need no Hermite form and go first
+        for _key, rows, dim, _rank, _full in per_key:
             if rows[i] is None:
                 divisible = [forms[j][0] for j in rest if rows[j] is None]
                 if Subspace.from_integer_rows(divisible, g.ambient_dim).dim < dim:
                     return False
+        for key, rows, _dim, rank, full in per_key:
+            if rows[i] is None:
                 continue
             pivots = _hermite_pivots([rows[j] for j in rest if rows[j] is not None])
             if len(pivots) < rank:
@@ -962,6 +987,13 @@ def index_and_quotient(g: GroupRep, a: GroupRep) -> QuotientDescription:
     return QuotientDescription(
         "finite", quotient=FiniteQuotient(g, a, _finite_quotient_parts(g, a))
     )
+
+
+def trivial_quotient(g: GroupRep, a: GroupRep) -> QuotientDescription:
+    """G/A for a subgroup A known to equal G, such as a pure sum whose
+    ``pure_sum_kind`` is EXACT: the finite description with no parts, which
+    ``index_and_quotient`` returns at index 1, built with no Smith form."""
+    return QuotientDescription("finite", quotient=FiniteQuotient(g, a, []))
 
 
 def _direction_witness(g: GroupRep, wg: Subspace, wa: Subspace) -> Vec:

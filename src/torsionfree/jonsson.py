@@ -42,6 +42,7 @@ from .groups import (
     pure_sum,
     pure_sum_kind,
     purify,
+    trivial_quotient,
 )
 from .linalg import Mat, Subspace, Vec, hermite_eliminate, mat
 from .indec import typeset_obstruction_certificate
@@ -217,13 +218,17 @@ def regulating_search(g: GroupRep, height_bound: int = 2):
     best: JonssonBasis | None = None
     for positions in table.independent_lines(range(len(table.pieces)), g.rank):
         combo = tuple(table.pieces[i] for i in positions)
-        if pure_sum_kind(g, combo) is SplitKind.NONE:
+        kind = pure_sum_kind(g, combo)
+        if kind is SplitKind.NONE:
             continue
         hulls, total = pure_sum(g, combo)
-        description = index_and_quotient(g, total)
-        if best is None or description.quotient.order < best.index:
+        if kind is SplitKind.EXACT:
+            quotient = trivial_quotient(g, total).quotient
+        else:
+            quotient = index_and_quotient(g, total).quotient
+        if best is None or quotient.order < best.index:
             flagged = tuple((hull, JonssonFlag.RANK1) for hull in hulls)
-            best = JonssonBasis(g, flagged, description.quotient)
+            best = JonssonBasis(g, flagged, quotient)
             if best.index == 1:
                 break
     if best is None:

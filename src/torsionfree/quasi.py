@@ -41,6 +41,8 @@ from .groups import (
     index_and_quotient,
     order_mod,
     pure_sum,
+    pure_sum_kind,
+    trivial_quotient,
 )
 from .linalg import Mat, integer_form, mat, mat_inverse
 from .numutil import strip_primes, valuation
@@ -178,7 +180,10 @@ def quasi_split_check(g: GroupRep, basis: BasisRecord, partition: PartitionRecor
         raise ValueError("partition was built over a different basis")
     require_basis(g, basis)
     summands, total = pure_sum(g, partition.spans)
-    quotient = index_and_quotient(g, total)
+    if pure_sum_kind(g, partition.spans) is SplitKind.EXACT:
+        quotient = trivial_quotient(g, total)
+    else:
+        quotient = index_and_quotient(g, total)
     if not quotient.is_finite:
         return SplitReport(SplitKind.NONE, summands, None, quotient)
     record = decomposition_record(total, summands)

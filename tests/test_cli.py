@@ -230,6 +230,31 @@ class TestExitCodes:
         assert out.startswith("index: 1\nexhaustive: true (height 1)\n")
         assert "summand" not in out
 
+    def test_empty_generator_images_read_none(self, tmp_path, capsys):
+        # the zero group has no generators, so no images to list
+        path = tmp_path / "z.grp"
+        path.write_text("group z ambient 2\n")
+        assert main(["regulating", str(path), "--height", "1"]) == 0
+        assert capsys.readouterr().out.endswith("quotient: trivial\ngenerator images: none\n")
+        assert main(["quotient", str(path), str(path)]) == 0
+        assert capsys.readouterr().out == "trivial\norder: 1\nexponent: 1\ngenerator images: none\n"
+
+    @pytest.mark.parametrize(
+        "gens, bases", [("", 1), ("gen [1, 2] inv {3}\n", 2)], ids=["rank0", "rank1"]
+    )
+    def test_si_search_below_rank_two_is_a_definite_no(self, tmp_path, capsys, gens, bases):
+        # a quasi-decomposition needs two summands of rank >= 1, so a group of
+        # rank at most 1 has none at any height
+        path = tmp_path / "r.grp"
+        path.write_text("group r ambient 2\n" + gens)
+        assert main(["si-search", str(path)]) == 0
+        assert capsys.readouterr().out == f"NoWitnessFound (height 2, {bases} bases)\n"
+        assert main(["si-search", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"command": "si-search", "result": {"bases_searched": %d, "certificate": null, '
+            '"height": 2, "witness": null}}\n' % bases
+        )
+
     def test_si_search_without_evidence_is_two(self, capsys):
         # free groups of rank one: no proper partition, no rank-2 certificate
         path = DATA / "g1.grp"

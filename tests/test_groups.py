@@ -822,11 +822,31 @@ def member_loop_purify(g, subspace, gap_route=False):
 
 
 class TestSaturation:
-    @given(group_reps(ambient=3, max_gens=4), st.lists(vectors(3), min_size=1, max_size=2))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_the_member_loop(self, g, directions):
-        u = Subspace.span([vec(v) for v in directions], 3)
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_member_loop(self, data):
+        # ambient 3 with up to four generators and ambient 4 with up to five;
+        # lines, planes and (in Q^4) 3-spaces; ALL among the prime sets
+        n = data.draw(st.sampled_from((3, 4)))
+        g = data.draw(group_reps(ambient=n, max_gens=n + 1))
+        directions = data.draw(st.lists(vectors(n), min_size=1, max_size=n - 1))
+        u = Subspace.span([vec(v) for v in directions], n)
         assert purify(g, u).generators == member_loop_purify(g, u).generators
+
+    def test_a_line_in_every_w_p_saturates_nowhere(self, monkeypatch):
+        # the line Q(1, 1, 0) lies in W_2 and in W_3, so its coordinates vanish
+        # in G's maps at both tagged primes and no saturation can adjoin
+        g = group_rep(3, [
+            ((1, 1, 0), (2, 3)), ((1, 0, 0), (2,)), ((0, 0, 1), (3,)), ((0, 1, F(1, 2)), ()),
+        ])
+        u = line(3, (1, 1, 0))
+        expected = member_loop_purify(g, u).generators
+
+        def refuse(*_args):
+            raise AssertionError("_saturation called")
+
+        monkeypatch.setattr(groups, "_saturation", refuse)
+        assert purify(g, u).generators == expected
 
     @given(group_reps(ambient=3, max_gens=4), st.lists(vectors(3), min_size=1, max_size=2))
     @settings(max_examples=150, deadline=None)
@@ -854,7 +874,7 @@ class TestSaturation:
         g = group_rep(2, [((1, 0), (2,)), ((0, 1), (2,)), ((F(1, 3), F(1, 3)), ())])
         assert g.local(2).map.columns == ()
         diagonal = vec((F(1, 3), F(1, 3)))
-        assert groups._saturation(g, [integer_form(diagonal)], 2) == []
+        assert groups._saturation(g, [integer_form(diagonal)], 2, 0) == []
         assert purify(g, line(2, (1, 1))).generators == ((diagonal, prime_set([2])),)
 
     def test_builds_only_its_result(self, monkeypatch):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from strategies import group_reps, vectors
 from torsionfree import decomp, groups, indec, jonsson, linalg
+from torsionfree.bases import basis_record
 from torsionfree.corpus import PROFILES, generate
 from torsionfree.decomp import (
     PartitionRecord,
@@ -36,11 +37,17 @@ from torsionfree.groups import (
     pure_sum,
     pure_sum_kind,
     subgroup_leq,
+    sum_groups,
 )
 from torsionfree.indec import strong_decomposability_witness_search
 from torsionfree.jonsson import regulating_search
 from torsionfree.linalg import Subspace, direct_sum_projections, vec
 from torsionfree.quasi import quasi_split_check
+
+
+def quotient_data(q):
+    """What a FiniteQuotient reports: invariant factors, generator images, sections."""
+    return q.invariant_factors, q.generator_images, q.section_vectors()
 
 
 def G2():
@@ -270,5 +277,29 @@ class TestSearchesUseTheVerdict:
             return described[-1]
 
         monkeypatch.setattr(jonsson, "index_and_quotient", spy)
-        regulating_search(g, 2)
-        assert described and all(d.is_finite for d in described)
+        best, _index = regulating_search(g, 2)
+        assert all(d.is_finite for d in described)
+        expected = index_and_quotient(g, sum_groups(*best.summand_groups)).quotient
+        assert quotient_data(best.quotient) == quotient_data(expected)
+
+    @pytest.mark.parametrize("gens", [
+        [((1, 0), (2,)), ((0, 1), (3,))],
+        [((1, 0), (2,)), ((0, 1), (2, 3))],
+        [((1, 0), ()), ((0, 1), "ALL")],
+    ], ids=["z2+z3", "z2+z6", "g1"])
+    def test_exact_combinations_take_no_smith_form(self, monkeypatch, gens):
+        # the hulls of an EXACT combination sum to G, so G/G needs no Smith
+        # form; with tagged primes, index_and_quotient would take one per key
+        g = group_rep(2, gens)
+        basis = basis_record(g, [(1, 0), (0, 1)])
+        partition = PartitionRecord(basis, ((0,), (1,)))
+        assert pure_sum_kind(g, partition.spans) is SplitKind.EXACT
+        _hulls, total = pure_sum(g, partition.spans)
+        expected = index_and_quotient(g, total).quotient
+        monkeypatch.setattr(groups, "smith_normal_form", refuse)
+        report = quasi_split_check(g, basis, partition)
+        assert report.kind is SplitKind.EXACT
+        assert quotient_data(report.quotient.quotient) == quotient_data(expected)
+        best, index = regulating_search(g, 1)
+        assert index == 1
+        assert quotient_data(best.quotient) == quotient_data(expected)
